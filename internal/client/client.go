@@ -55,14 +55,6 @@ type Config struct {
 	// be supplied through Attest.
 	Authority   *ecdsa.PublicKey
 	Measurement [32]byte
-	// DisableSessions reverts the send path to the legacy one-shot
-	// hybrid wrap (a fresh RSA-wrapped key per update) instead of the
-	// default per-endpoint crypto session. The session path costs one
-	// RSA wrap per session instead of one per update; the knob exists
-	// for comparison runs and as an escape hatch against pre-session
-	// proxies' error vocabulary (ingestion itself is compatible both
-	// ways).
-	DisableSessions bool
 }
 
 // Participant is the participant-side session handle. It is safe for
@@ -88,8 +80,7 @@ type Participant struct {
 	// under the session key, and the one-time RSA wrap rides the
 	// session's first update (see enclave.Session). A session built for
 	// a superseded key (the endpoint re-attested) is replaced lazily.
-	sessions   map[string]*clientSession
-	noSessions bool
+	sessions map[string]*clientSession
 	// flights single-flights the lazy failover attestation per endpoint:
 	// when many goroutines share one client and fail over simultaneously
 	// (a primary dying under load), exactly one runs the handshake and
@@ -134,7 +125,6 @@ func New(cfg Config) (*Participant, error) {
 		measurement: cfg.Measurement,
 		keys:        make(map[string]*rsa.PublicKey),
 		sessions:    make(map[string]*clientSession),
-		noSessions:  cfg.DisableSessions,
 		flights:     make(map[string]*attestFlight),
 	}, nil
 }
@@ -418,19 +408,14 @@ func (c *Participant) dropSession(ep string, sess *enclave.Session) {
 	}
 }
 
-// wrapFor seals raw for ep's enclave: under the endpoint's crypto
-// session by default (the first wrap of a session is the establish
-// message carrying the RSA-wrapped key; every later wrap is GCM-only),
-// or the legacy one-shot hybrid wrap with sessions disabled. It returns
-// the session that produced the ciphertext (nil on the legacy path) so
-// the caller can invalidate precisely that session on a typed session
-// rejection. A session whose counter space is exhausted is rotated
-// once, transparently.
+// wrapFor seals raw for ep's enclave under the endpoint's crypto
+// session (the first wrap of a session is the establish message
+// carrying the RSA-wrapped key; every later wrap is GCM-only). It
+// returns the session that produced the ciphertext so the caller can
+// invalidate precisely that session on a typed session rejection. A
+// session whose counter space is exhausted is rotated once,
+// transparently.
 func (c *Participant) wrapFor(ep string, key *rsa.PublicKey, raw []byte) ([]byte, *enclave.Session, error) {
-	if c.noSessions {
-		ct, err := enclave.Encrypt(key, raw)
-		return ct, nil, err
-	}
 	for attempt := 0; ; attempt++ {
 		sess, err := c.sessionFor(ep, key)
 		if err != nil {
@@ -613,7 +598,7 @@ func (c *Participant) sendWalk(ctx context.Context, raw []byte, clientID string)
 			return err
 		}
 		_, err = c.tr.SendUpdate(ctx, ep, transport.UpdateRequest{Body: ct, ClientID: clientID})
-		if err != nil && sess != nil && transport.SessionRejected(err) {
+		if err != nil && transport.SessionRejected(err) {
 			// The proxy's enclave no longer holds our session (cache
 			// eviction, a restart that kept its sealed identity, or our
 			// data frame raced ahead of the session's establish frame)

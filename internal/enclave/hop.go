@@ -43,16 +43,6 @@ func PinnedHop(pub *rsa.PublicKey, measurement [32]byte) *HopKey {
 // Measurement returns the measurement the hop key is bound to.
 func (h *HopKey) Measurement() [32]byte { return h.measurement }
 
-// Wrap encrypts a mixed update for the next hop's enclave using the same
-// hybrid scheme participants use, so a cascade hop ingests forwarded
-// traffic through the identical decryption path as first-hop traffic.
-func (h *HopKey) Wrap(plaintext []byte) ([]byte, error) {
-	if h == nil || h.pub == nil {
-		return nil, fmt.Errorf("enclave: no hop key pinned")
-	}
-	return Encrypt(h.pub, plaintext)
-}
-
 // NewSession starts a crypto session against the hop's enclave: one
 // RSA wrap here, then Session.Wrap is GCM-only for every forwarded
 // round (see session.go). Cascade and relay legs use it so steady-state

@@ -26,17 +26,24 @@ func TestTrustHopWrapRoundTrip(t *testing.T) {
 	if hop.Measurement() != next.Measurement() {
 		t.Fatal("hop key bound to wrong measurement")
 	}
-	plain := []byte("mixed update payload")
-	ct, err := hop.Wrap(plain)
+	sess, err := hop.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := next.Decrypt(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, plain) {
-		t.Fatalf("hop round trip = %q, want %q", got, plain)
+	// The first wrap is the session's establish frame, the second a
+	// GCM-only data frame; the hop's enclave must open both.
+	for _, plain := range [][]byte{[]byte("mixed round 1"), []byte("mixed round 2")} {
+		ct, err := sess.Wrap(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := next.Decrypt(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, plain) {
+			t.Fatalf("hop round trip = %q, want %q", got, plain)
+		}
 	}
 }
 
@@ -68,7 +75,7 @@ func TestTrustHopRejectsWrongMeasurement(t *testing.T) {
 
 func TestWrapWithoutKeyFails(t *testing.T) {
 	var hop *HopKey
-	if _, err := hop.Wrap([]byte("x")); err == nil {
-		t.Fatal("nil hop key wrapped")
+	if _, err := hop.NewSession(); err == nil {
+		t.Fatal("session started on a nil hop key")
 	}
 }

@@ -189,7 +189,7 @@ func (d *Dispatcher) Wake() {
 
 // closeGrace is how long Close lets an in-flight delivery attempt run
 // before cancelling it. The two failure modes it balances: an attempt
-// that already reached its peer but has not yet recorded progress must
+// that already reached its peer but has not yet recorded its ack must
 // be allowed to finish — cancelling it loses the ack and the entry
 // redelivers (double-counting at receivers without dedup) after a
 // restart; an attempt hung on a dead peer must NOT hold shutdown for
@@ -229,7 +229,7 @@ func (d *Dispatcher) Close() {
 }
 
 // joinWorkers waits for the worker pool: a grace period first, so an
-// attempt that is mid-response can finish and record its progress,
+// attempt that is mid-response can finish and record its ack,
 // then the lifetime context is cancelled to abort attempts that are
 // actually hung.
 func (d *Dispatcher) joinWorkers() {

@@ -50,9 +50,8 @@ var ErrEmpty = errors.New("outbox: empty")
 
 // Queue is the delivery queue contract shared by the durable on-disk
 // outbox and the in-memory variant: per-destination-ordered Put/Next/Ack
-// with quarantine for undeliverable entries, partial-delivery progress
-// for per-update (NoBatch) forwarding, and a stable sender identity for
-// receiver-side redelivery detection.
+// with quarantine for undeliverable entries, and a stable sender
+// identity for receiver-side redelivery detection.
 //
 // Entries are partitioned into lanes keyed by the envelope destination
 // (LaneOf), so a dead peer's backlog never blocks deliveries bound for
@@ -82,7 +81,7 @@ type Queue interface {
 	// under load use it instead of Lanes+LaneLen, whose per-lane reads
 	// each race the dispatcher's acks.
 	LaneLens() map[string]int
-	// Ack consumes a delivered entry (and its progress marker).
+	// Ack consumes a delivered entry.
 	Ack(seq uint64) error
 	// Quarantine sets aside an entry the receiver permanently rejected.
 	Quarantine(seq uint64, reason error) error
@@ -93,12 +92,6 @@ type Queue interface {
 	// behind — the operator surface for material that left the delivery
 	// path.
 	Quarantined() int
-	// SetProgress durably records that the first done updates of entry
-	// seq are confirmed delivered, so per-update forwarding resumes
-	// after a crash instead of resending the round.
-	SetProgress(seq uint64, done int) error
-	// Progress returns the recorded progress of entry seq (0 if none).
-	Progress(seq uint64) int
 	// SenderID is a stable identity for this queue (persisted alongside
 	// the disk queue, ephemeral for the in-memory one). Receivers use it
 	// with the entry sequence number to recognise stale redeliveries
@@ -315,9 +308,6 @@ type Disk struct {
 	// quarantined counts entries set aside: .bad files found at Open
 	// plus quarantines since.
 	quarantined int
-	// progress maps entry seq → confirmed per-update delivery progress,
-	// mirrored to .prog sidecar files so it survives restarts.
-	progress map[uint64]int
 }
 
 // headCache is one lane's memoised head entry.
@@ -329,7 +319,6 @@ type headCache struct {
 const (
 	entrySuffix      = ".ent"
 	quarantineSuffix = ".bad"
-	progressSuffix   = ".prog"
 	senderFile       = "sender.id"
 	// seqFile persists the next sequence number. The sender identity is
 	// durable, and receivers key their stale-redelivery watermark on
@@ -356,10 +345,9 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 	}
 	d := &Disk{
 		dir: dir, seal: seal, open: open,
-		progress: make(map[uint64]int),
-		laneOf:   make(map[uint64]string),
-		lanes:    make(map[string][]uint64),
-		heads:    make(map[string]headCache),
+		laneOf: make(map[uint64]string),
+		lanes:  make(map[string][]uint64),
+		heads:  make(map[string]headCache),
 	}
 	for _, de := range names {
 		name := de.Name()
@@ -370,24 +358,6 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 			var seq uint64
 			if _, err := fmt.Sscanf(name, "ob-%016x", &seq); err == nil && seq >= d.next {
 				d.next = seq + 1
-			}
-			continue
-		}
-		if strings.HasSuffix(name, progressSuffix) {
-			var seq uint64
-			if _, err := fmt.Sscanf(name, "ob-%016x"+progressSuffix, &seq); err != nil || name != progressName(seq) {
-				continue
-			}
-			if seq >= d.next {
-				d.next = seq + 1
-			}
-			raw, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				continue
-			}
-			var done int
-			if _, err := fmt.Sscanf(string(raw), "%d", &done); err == nil && done > 0 {
-				d.progress[seq] = done
 			}
 			continue
 		}
@@ -404,14 +374,6 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 		}
 	}
 	sort.Slice(d.seqs, func(i, j int) bool { return d.seqs[i] < d.seqs[j] })
-	// Orphaned progress markers (their entry was acked or quarantined
-	// mid-crash) must not survive to claim progress on a recycled seq.
-	for seq := range d.progress {
-		if !d.hasSeqLocked(seq) {
-			delete(d.progress, seq)
-			os.Remove(filepath.Join(dir, progressName(seq)))
-		}
-	}
 	// The persisted counter wins over anything derived from surviving
 	// files: acknowledged entries leave no .ent witness, but their
 	// sequence numbers are burned at the receivers.
@@ -447,13 +409,6 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 		log.Printf("outbox: WARNING: %d quarantined entries (%s files) in %s — rounds that left the delivery path; inspect and re-inject or discard", d.quarantined, quarantineSuffix, dir)
 	}
 	return d, nil
-}
-
-func progressName(seq uint64) string { return fmt.Sprintf("ob-%016x%s", seq, progressSuffix) }
-
-func (d *Disk) hasSeqLocked(seq uint64) bool {
-	i := sort.Search(len(d.seqs), func(i int) bool { return d.seqs[i] >= seq })
-	return i < len(d.seqs) && d.seqs[i] == seq
 }
 
 // loadSenderID reads (or mints) the queue's stable sender identity.
@@ -606,7 +561,7 @@ func (d *Disk) LaneLens() map[string]int {
 	return out
 }
 
-// Ack consumes a delivered entry and its progress marker.
+// Ack consumes a delivered entry.
 func (d *Disk) Ack(seq uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -615,36 +570,6 @@ func (d *Disk) Ack(seq uint64) error {
 		return fmt.Errorf("outbox: ack entry %d: %w", seq, err)
 	}
 	return nil
-}
-
-// SetProgress durably records per-update delivery progress for entry seq
-// (tmp + rename, like entries, so a crash mid-write leaves the previous
-// marker intact). Progress is a plain counter, not round material, so it
-// is stored in plaintext.
-func (d *Disk) SetProgress(seq uint64, done int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if done <= 0 {
-		return nil
-	}
-	path := filepath.Join(d.dir, progressName(seq))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("%d\n", done)), 0o600); err != nil {
-		return fmt.Errorf("outbox: write progress: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("outbox: commit progress: %w", err)
-	}
-	d.progress[seq] = done
-	return nil
-}
-
-// Progress returns the recorded delivery progress of entry seq.
-func (d *Disk) Progress(seq uint64) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.progress[seq]
 }
 
 // SenderID returns the queue's persisted sender identity.
@@ -694,10 +619,6 @@ func (d *Disk) dropLocked(seq uint64) {
 			delete(d.lanes, lane)
 		}
 	}
-	if _, ok := d.progress[seq]; ok {
-		delete(d.progress, seq)
-		os.Remove(filepath.Join(d.dir, progressName(seq)))
-	}
 	for i, s := range d.seqs {
 		if s == seq {
 			d.seqs = append(d.seqs[:i], d.seqs[i+1:]...)
@@ -726,7 +647,6 @@ type Memory struct {
 	laneOf      map[uint64]string
 	lanes       map[string][]uint64
 	quarantined int
-	progress    map[uint64]int
 }
 
 // NewMemory builds an empty in-memory queue.
@@ -738,11 +658,10 @@ func NewMemory() *Memory {
 		id = ""
 	}
 	return &Memory{
-		entries:  make(map[uint64][]byte),
-		progress: make(map[uint64]int),
-		laneOf:   make(map[uint64]string),
-		lanes:    make(map[string][]uint64),
-		sender:   id,
+		entries: make(map[uint64][]byte),
+		laneOf:  make(map[uint64]string),
+		lanes:   make(map[string][]uint64),
+		sender:  id,
 	}
 }
 
@@ -842,29 +761,11 @@ func (m *Memory) Quarantined() int {
 	return m.quarantined
 }
 
-// SetProgress implements Queue.
-func (m *Memory) SetProgress(seq uint64, done int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if done > 0 {
-		m.progress[seq] = done
-	}
-	return nil
-}
-
-// Progress implements Queue.
-func (m *Memory) Progress(seq uint64) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.progress[seq]
-}
-
 // SenderID implements Queue.
 func (m *Memory) SenderID() string { return m.sender }
 
 func (m *Memory) dropLocked(seq uint64) {
 	delete(m.entries, seq)
-	delete(m.progress, seq)
 	if lane, ok := m.laneOf[seq]; ok {
 		delete(m.laneOf, seq)
 		for i, s := range m.lanes[lane] {

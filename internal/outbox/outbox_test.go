@@ -186,6 +186,11 @@ func TestDeliveryDiskQueueGarbageRobustness(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, entryName(4)), []byte{0x01}, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	// A per-update progress sidecar that older binaries wrote is not an
+	// entry and must be ignored.
+	if err := os.WriteFile(filepath.Join(dir, "ob-0000000000000000.prog"), []byte("1\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
 
 	// Reopen (as a restarted proxy would) so the planted files are indexed.
 	q, err = Open(dir, seal, open)
@@ -353,66 +358,6 @@ func TestDeliveryEnvelopeReadsV1(t *testing.T) {
 	}
 }
 
-// TestDeliveryProgressPersists pins the durable-progress contract:
-// SetProgress survives a queue reopen, and Ack/Quarantine clean it up.
-func TestDeliveryProgressPersists(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(dir, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq1, err := d.Put(testEnvelope(1, "a", "b", "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq2, err := d.Put(testEnvelope(2, "d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetProgress(seq1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Progress(seq1); got != 2 {
-		t.Fatalf("progress = %d, want 2", got)
-	}
-
-	// Reopen: the marker must come back; the sender id must be stable.
-	sender := d.SenderID()
-	if sender == "" {
-		t.Fatal("empty sender id")
-	}
-	d2, err := Open(dir, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d2.Progress(seq1); got != 2 {
-		t.Fatalf("progress after reopen = %d, want 2", got)
-	}
-	if d2.SenderID() != sender {
-		t.Fatalf("sender id changed across reopen: %q vs %q", d2.SenderID(), sender)
-	}
-	if err := d2.Ack(seq1); err != nil {
-		t.Fatal(err)
-	}
-	if got := d2.Progress(seq1); got != 0 {
-		t.Fatalf("progress survived ack: %d", got)
-	}
-	if err := d2.Quarantine(seq2, errors.New("nope")); err != nil {
-		t.Fatal(err)
-	}
-	// A third open must not resurrect markers for consumed entries.
-	d3, err := Open(dir, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d3.Progress(seq1); got != 0 {
-		t.Fatalf("orphaned progress resurrected: %d", got)
-	}
-	if d3.Quarantined() != 1 {
-		t.Fatalf("quarantined = %d, want 1 (the .bad leftover)", d3.Quarantined())
-	}
-}
-
 // TestDeliveryQuarantinedCounting: counts accumulate from leftovers and
 // live quarantines, on both queue variants.
 func TestDeliveryQuarantinedCounting(t *testing.T) {
@@ -470,6 +415,9 @@ func TestDeliverySeqNeverReused(t *testing.T) {
 	d2, err := Open(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d.SenderID() == "" || d2.SenderID() != d.SenderID() {
+		t.Fatalf("sender id %q changed across reopen to %q", d.SenderID(), d2.SenderID())
 	}
 	seq, err := d2.Put(testEnvelope(9, "y"))
 	if err != nil {

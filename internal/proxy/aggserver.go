@@ -17,8 +17,8 @@ import (
 )
 
 // AggServer is the HTTP aggregation server: it collects a fixed number of
-// updates per round — one at a time on /v1/update or a whole drained
-// round on /v1/batch — averages them, and serves the global model.
+// updates per round — delivered as drained rounds (or parts of one) on
+// /v1/batch — averages them, and serves the global model.
 // An optional fl.Observer sees each completed round's updates — this is
 // how the adversarial-server experiments instrument the networked path.
 type AggServer struct {
@@ -141,27 +141,11 @@ func (s *AggServer) absorb(updates []nn.ParamSet) (int, error) {
 	return closed, nil
 }
 
-// HandleUpdate ingests one plaintext mixed update. It implements
-// transport.Server.
+// HandleUpdate implements transport.Server: mixing proxies deliver
+// only through HandleBatch, so the single-update endpoint is not served
+// (HTTP answers 404).
 func (s *AggServer) HandleUpdate(ctx context.Context, req transport.UpdateRequest) (transport.Receipt, error) {
-	if err := transport.CheckBody(req.Body); err != nil {
-		return transport.Receipt{Shard: -1}, err
-	}
-	// Zero-copy decode: the views alias req.Body, which this request owns
-	// and the aggregation path never mutates (absorb buffers the views and
-	// Average allocates a fresh result).
-	ps, err := nn.DecodeParamSetNoCopy(req.Body)
-	if err != nil {
-		return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusBadRequest, "decode update: %v", err)
-	}
-	if _, err := s.absorb([]nn.ParamSet{ps}); err != nil {
-		// An aggregate failure is structural (updates incompatible with
-		// the global model) — retrying the same material cannot succeed,
-		// so answer 422: proxies classify it permanent and quarantine the
-		// entry instead of wedging their queue on it.
-		return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusUnprocessableEntity, "%s", err.Error())
-	}
-	return transport.Receipt{Shard: -1}, nil
+	return transport.Receipt{Shard: -1}, transport.ErrNotSupported
 }
 
 // HandleBatch ingests a whole drained round in one request. The body is
@@ -212,9 +196,10 @@ func (s *AggServer) HandleBatch(ctx context.Context, req transport.BatchRequest)
 	}
 	closed, err := s.absorb(updates)
 	if err != nil {
-		// Structural failure — permanent from the sender's point of view
-		// (see HandleUpdate); a 5xx here would make the proxy retry the
-		// same poison batch forever. If the batch spanned round
+		// Structural failure (updates incompatible with the global
+		// model) — permanent from the sender's point of view, so answer
+		// 422: a 5xx here would make the proxy retry the same poison
+		// batch forever. If the batch spanned round
 		// boundaries and some rounds DID close before the failure, keep
 		// its id recorded as applied: the entry will be quarantined
 		// upstream, and should the operator ever re-inject the .bad

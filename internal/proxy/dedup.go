@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"slices"
 	"sync"
 )
 
@@ -41,8 +42,11 @@ const (
 // outbox is strictly ordered (entry N+1 is never sent before N is
 // acknowledged), so once the receiver has applied seq N from a sender,
 //
-//   - a redelivery of seq == N whose id aged out is the lost-ack case:
-//     it was applied, ack it (dedupApplied);
+//   - a redelivery of one of seq N's ids that aged out of the window is
+//     the lost-ack case: it was applied, ack it (dedupApplied);
+//   - a new id at seq N is another part of the same entry (an entry too
+//     large for one request travels as several batches sharing its
+//     seq): claim it;
 //   - anything with seq < N can only be a stale duplicate: reject it
 //     (dedupStale) instead of re-absorbing a round that already counted.
 type batchDedup struct {
@@ -50,10 +54,16 @@ type batchDedup struct {
 	cap   int
 	state map[string]bool // false = application in flight, true = applied
 	order []string
-	// hwm maps sender id → highest entry sequence acknowledged as
-	// applied; hwmOrder bounds it FIFO.
-	hwm      map[string]uint64
+	// hwm maps sender id → its watermark; hwmOrder bounds it LRU.
+	hwm      map[string]senderMark
 	hwmOrder []string
+}
+
+// senderMark is a sender's highest entry sequence acknowledged as
+// applied, with the batch ids applied at that sequence (one per part).
+type senderMark struct {
+	seq uint64
+	ids []string
 }
 
 // SetWindow sizes the id FIFO (<= 0 keeps DefaultDedupWindow). Call
@@ -90,13 +100,13 @@ func (d *batchDedup) Begin(id, sender string, seq uint64, hasSeq bool) dedupVerd
 		return dedupInFlight
 	}
 	if hasSeq {
-		if h, ok := d.hwm[sender]; ok {
-			if seq == h {
-				// Lost-ack redelivery of the sender's last applied entry,
-				// its id already aged out of the window.
+		if m, ok := d.hwm[sender]; ok {
+			if seq == m.seq && slices.Contains(m.ids, id) {
+				// Lost-ack redelivery of a part of the sender's last
+				// applied entry, its id already aged out of the window.
 				return dedupApplied
 			}
-			if seq < h {
+			if seq < m.seq {
 				return dedupStale
 			}
 		}
@@ -122,18 +132,23 @@ func (d *batchDedup) Done(id, sender string, seq uint64, hasSeq bool) {
 		return
 	}
 	if d.hwm == nil {
-		d.hwm = make(map[string]uint64)
+		d.hwm = make(map[string]senderMark)
 	}
-	if h, ok := d.hwm[sender]; !ok {
-		d.hwm[sender] = seq
+	m, ok := d.hwm[sender]
+	switch {
+	case !ok:
+		d.hwm[sender] = senderMark{seq: seq, ids: []string{id}}
 		d.hwmOrder = append(d.hwmOrder, sender)
 		if len(d.hwmOrder) > maxDedupSenders {
 			delete(d.hwm, d.hwmOrder[0])
 			d.hwmOrder = d.hwmOrder[1:]
 		}
 		return
-	} else if seq > h {
-		d.hwm[sender] = seq
+	case seq > m.seq:
+		d.hwm[sender] = senderMark{seq: seq, ids: []string{id}}
+	case seq == m.seq && !slices.Contains(m.ids, id):
+		m.ids = append(m.ids, id)
+		d.hwm[sender] = m
 	}
 	// LRU, not FIFO: a long-lived durable sender must not be evicted by
 	// a churn of one-shot senders just because it registered first — it

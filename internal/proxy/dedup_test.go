@@ -62,4 +62,23 @@ func TestDedupWatermarkVerdicts(t *testing.T) {
 	if got := d.Begin("i9", "", 0, false); got != dedupClaimed {
 		t.Fatalf("legacy sender = %v", got)
 	}
+	// The parts of one multi-part entry share its seq: a new id at the
+	// watermark is another part to apply, and every applied part is
+	// still recognised after its id aged out of the window.
+	for _, id := range []string{"e5", "e5.1", "e5.2"} {
+		if got := d.Begin(id, "p", 5, true); got != dedupClaimed {
+			t.Fatalf("part %s at the watermark = %v, want claimed", id, got)
+		}
+		d.Done(id, "p", 5, true)
+	}
+	for _, id := range []string{"e5", "e5.1", "e5.2"} {
+		if got := d.Begin(id, "p", 5, true); got != dedupApplied {
+			t.Fatalf("redelivered part %s = %v, want applied", id, got)
+		}
+	}
+	d.Begin("e6", "p", 6, true)
+	d.Done("e6", "p", 6, true)
+	if got := d.Begin("e5.2", "p", 5, true); got != dedupStale {
+		t.Fatalf("part of a superseded entry = %v, want stale", got)
+	}
 }

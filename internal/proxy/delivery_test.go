@@ -343,9 +343,9 @@ func TestDeliveryOutboxGarbageRobustness(t *testing.T) {
 	}
 }
 
-// TestDeliveryBatchEndpointForgedHop is the /v1/batch regression mirror
-// of the /v1/hop hardening: the inter-proxy secret gates it, forged
-// excess depth is rejected with 508 before any material is touched, and
+// TestDeliveryBatchEndpointForgedHop pins the hardening of the cascade
+// ingress, /v1/batch: the inter-proxy secret gates it, forged excess
+// depth is rejected with 508 before any material is touched, and
 // malformed depth is a plain 400.
 func TestDeliveryBatchEndpointForgedHop(t *testing.T) {
 	platform, encl := fixtures(t)
@@ -547,51 +547,177 @@ func TestDeliveryBatchRedeliveryDedup(t *testing.T) {
 	})
 }
 
-// TestDeliveryNoBatchCompat: the NoBatch mode drives the drained round
-// through the single-update endpoints — one POST per update — for
-// downstreams that predate /v1/batch.
-func TestDeliveryNoBatchCompat(t *testing.T) {
-	platform, encl := fixtures(t)
-	const clients = 4
-	initial := testArch().New(1).SnapshotParams()
+// TestDeliverySplitBatch pins the splitter behind multi-part delivery:
+// parts cover every update in order, each part's envelope fits the
+// limit, part ids are deterministic and distinct, and an update too
+// large to fit alone is permanent.
+func TestDeliverySplitBatch(t *testing.T) {
+	sizes := []int{10, 30, 5, 40, 1, 1, 25}
+	updates := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		updates[i] = bytes.Repeat([]byte{byte(i + 1)}, n)
+	}
+	const limit = wire.BatchHeaderBytes + 2*wire.BatchItemHeaderBytes + 45
+	parts, err := splitBatch(updates, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) < 2 {
+		t.Fatalf("%d parts, want a split", len(parts))
+	}
+	var flat [][]byte
+	ids := map[string]bool{}
+	for i, part := range parts {
+		if len(part) == 0 {
+			t.Fatalf("part %d is empty", i)
+		}
+		enc, err := wire.BatchEnvelope{Updates: part}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) > limit {
+			t.Fatalf("part %d encodes to %d bytes, over the %d limit", i, len(enc), limit)
+		}
+		flat = append(flat, part...)
+		id := partID("entry", i)
+		if id != partID("entry", i) || ids[id] {
+			t.Fatalf("part %d id %q not deterministic or not distinct", i, id)
+		}
+		ids[id] = true
+	}
+	if partID("entry", 0) != "entry" {
+		t.Fatal("part 0 must keep the entry id")
+	}
+	if len(flat) != len(updates) {
+		t.Fatalf("parts cover %d updates, want %d", len(flat), len(updates))
+	}
+	for i := range updates {
+		if !bytes.Equal(flat[i], updates[i]) {
+			t.Fatalf("update %d out of order", i)
+		}
+	}
+	if one, err := splitBatch(updates, maxBatchBody); err != nil || len(one) != 1 || len(one[0]) != len(updates) {
+		t.Fatalf("an ordinary entry split into %d parts (%v), want one", len(one), err)
+	}
+	if parts, err := splitBatch(nil, limit); err != nil || len(parts) != 0 {
+		t.Fatalf("empty entry: %d parts, %v", len(parts), err)
+	}
 
+	oversized := append(updates[:2:2], make([]byte, limit))
+	_, err = splitBatch(oversized, limit)
+	var perm *outbox.PermanentError
+	if !errors.As(err, &perm) {
+		t.Fatalf("oversized update: %v, want a permanent error", err)
+	}
+}
+
+// recordingServer wraps a receiver and records every batch it answers:
+// the part id, whether it was acked as a duplicate, and an optional
+// one-shot failure for a chosen id.
+type recordingServer struct {
+	transport.Server
+	mu     sync.Mutex
+	failID string
+	calls  []string
+	dups   []bool
+}
+
+func (r *recordingServer) HandleBatch(ctx context.Context, req transport.BatchRequest) (transport.Receipt, error) {
+	r.mu.Lock()
+	if req.ID == r.failID {
+		r.failID = ""
+		r.mu.Unlock()
+		return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusServiceUnavailable, "injected outage")
+	}
+	r.mu.Unlock()
+	rcpt, err := r.Server.HandleBatch(ctx, req)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err == nil {
+		r.calls = append(r.calls, req.ID)
+		r.dups = append(r.dups, rcpt.Duplicate)
+	}
+	return rcpt, err
+}
+
+// TestDeliveryMultiPartEntryExactlyOnce drives one outbox entry that
+// needs three requests into an AggServer. A part refused mid-entry is
+// retried without resending the parts before it; the round closes at
+// the classic mean; and a redelivery of the whole entry, as after a
+// crash, is acked Duplicate part by part without touching the round.
+func TestDeliveryMultiPartEntryExactlyOnce(t *testing.T) {
+	platform, encl := fixtures(t)
+	const clients = 5
+	initial := testArch().New(1).SnapshotParams()
 	agg, err := NewAggServer(initial, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggSrv := httptest.NewServer(agg.Handler())
-	t.Cleanup(aggSrv.Close)
+	rec := &recordingServer{Server: agg}
+	lb := transport.NewLoopback()
+	lb.Register("loop://agg", rec)
 	px, err := NewSharded(ShardedConfig{
-		Upstream: aggSrv.URL, K: 1, RoundSize: clients, Shards: 2, Seed: 53, NoBatch: true,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
+		Upstream: "loop://agg", RoundSize: clients, Seed: 91, Transport: lb,
 	}, encl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(px.Close)
-	pxSrv := httptest.NewServer(px.Handler())
-	t.Cleanup(pxSrv.Close)
 
 	updates := perturbed(initial, clients, 0)
+	raws := make([][]byte, clients)
 	for i, u := range updates {
-		resp := sendRaw(t, encl, pxSrv.URL, "", u)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("send %d: %s", i, resp.Status)
+		if raws[i], err = nn.EncodeParamSet(u); err != nil {
+			t.Fatal(err)
 		}
 	}
-	flushTier(t, px)
-	waitServerRound(t, agg, 1)
-	st := px.Status()
-	if st.Forwarded != clients || st.BatchesSent != 0 {
-		t.Fatalf("forwarded/batches = %d/%d, want %d/0 (single-update compat path)", st.Forwarded, st.BatchesSent, clients)
-	}
-	want, err := nn.Average(updates)
+	payload, err := (&outbox.Envelope{Epoch: 0, Updates: raws}).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !agg.Global().ApproxEqual(want, 1e-9) {
-		t.Fatal("NoBatch delivery broke aggregation equivalence")
+	// Two updates per request: the entry travels as parts of 2, 2 and 1.
+	limit := wire.BatchHeaderBytes + 2*(wire.BatchItemHeaderBytes+len(raws[0]))
+	const seq = 7
+	id := batchIDFor(payload)
+	rec.failID = partID(id, 1)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := px.deliverPayload(ctx, seq, payload, limit); err == nil {
+		t.Fatal("delivery succeeded through the injected outage")
+	}
+	if err := px.deliverPayload(ctx, seq, payload, limit); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{partID(id, 0), partID(id, 1), partID(id, 2)}
+	if fmt.Sprint(rec.calls) != fmt.Sprint(want) || fmt.Sprint(rec.dups) != "[false false false]" {
+		t.Fatalf("applied parts %v (duplicates %v), want each of %v once", rec.calls, rec.dups, want)
+	}
+	if agg.Round() != 1 {
+		t.Fatalf("server round = %d, want 1", agg.Round())
+	}
+	mean, err := nn.Average(updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !agg.Global().ApproxEqual(mean, 1e-9) {
+		t.Fatal("multi-part delivery diverged from the classic mean")
+	}
+
+	// Crash-equivalent redelivery: the memo (and its part cursor) is gone.
+	px.dcache.drop(seq)
+	if err := px.deliverPayload(ctx, seq, payload, limit); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rec.calls[3:]) != fmt.Sprint(want) || fmt.Sprint(rec.dups[3:]) != "[true true true]" {
+		t.Fatalf("redelivered parts %v acked duplicate %v, want every part a duplicate", rec.calls[3:], rec.dups[3:])
+	}
+	st, err := agg.HandleStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Round() != 1 || st.Server.UpdatesInRound != 0 {
+		t.Fatalf("redelivery re-absorbed material: round %d, %d pending", agg.Round(), st.Server.UpdatesInRound)
 	}
 }
 
@@ -706,73 +832,6 @@ func TestDeliveryCountersSurviveSealRestore(t *testing.T) {
 	}
 }
 
-// TestDeliveryNoBatchCascade: the compat path through a real cascade —
-// the front tier posts each update of the drained round individually to
-// the hop's /v1/hop (re-encrypted per update, watermark-stamped), and
-// the round still closes with exact equivalence.
-func TestDeliveryNoBatchCascade(t *testing.T) {
-	platform, frontEncl := fixtures(t)
-	hopEncl, err := enclave.New(enclave.Config{CodeIdentity: "mixnn-proxy-nobatch-hop"}, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const clients = 4
-	initial := testArch().New(1).SnapshotParams()
-
-	agg, err := NewAggServer(initial, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggSrv := httptest.NewServer(agg.Handler())
-	t.Cleanup(aggSrv.Close)
-	hopPx, err := NewSharded(ShardedConfig{
-		Upstream: aggSrv.URL, K: 2, RoundSize: clients, Seed: 61, HopSecret: "nb-secret",
-	}, hopEncl, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(hopPx.Close)
-	hopSrv := httptest.NewServer(hopPx.Handler())
-	t.Cleanup(hopSrv.Close)
-
-	frontPx, err := NewSharded(ShardedConfig{
-		NextHop: hopSrv.URL, NextHopKey: enclave.PinnedHop(hopEncl.PublicKey(), hopEncl.Measurement()),
-		NextHopSecret: "nb-secret", K: 1, RoundSize: clients, Shards: 2, Seed: 62, NoBatch: true,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-	}, frontEncl, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(frontPx.Close)
-	frontSrv := httptest.NewServer(frontPx.Handler())
-	t.Cleanup(frontSrv.Close)
-
-	updates := perturbed(initial, clients, 0)
-	for i, u := range updates {
-		resp := sendRaw(t, frontEncl, frontSrv.URL, "", u)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("send %d: %s", i, resp.Status)
-		}
-	}
-	flushTier(t, frontPx, hopPx)
-	waitServerRound(t, agg, 1)
-	frontSt, hopSt := frontPx.Status(), hopPx.Status()
-	if frontSt.Forwarded != clients || frontSt.BatchesSent != 0 {
-		t.Fatalf("front forwarded/batches = %d/%d, want %d/0", frontSt.Forwarded, frontSt.BatchesSent, clients)
-	}
-	if hopSt.HopReceived != clients {
-		t.Fatalf("hop received %d singles, want %d", hopSt.HopReceived, clients)
-	}
-	want, err := nn.Average(updates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !agg.Global().ApproxEqual(want, 1e-9) {
-		t.Fatal("NoBatch cascade broke aggregation equivalence")
-	}
-}
-
 // TestDeliveryPermanentRejectQuarantines: a downstream that definitively
 // rejects a batch (4xx) must not be retried forever — the entry is
 // quarantined and the queue keeps moving.
@@ -821,43 +880,6 @@ func TestDeliveryPermanentRejectQuarantines(t *testing.T) {
 	}
 	if bad != 1 {
 		t.Fatalf("%d quarantined entries, want 1", bad)
-	}
-}
-
-// TestDeliveryNoBatchPermanentReject: in single-update compat mode a
-// definitive downstream rejection also quarantines the entry (with its
-// resume marker cleaned up) instead of retrying forever.
-func TestDeliveryNoBatchPermanentReject(t *testing.T) {
-	platform, encl := fixtures(t)
-	reject := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusBadRequest)
-	}))
-	t.Cleanup(reject.Close)
-	px, err := NewSharded(ShardedConfig{
-		Upstream: reject.URL, K: 1, RoundSize: 2, Shards: 1, Seed: 71, NoBatch: true,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-	}, encl, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(px.Close)
-	pxSrv := httptest.NewServer(px.Handler())
-	t.Cleanup(pxSrv.Close)
-
-	for i := 0; i < 2; i++ {
-		resp := sendRaw(t, encl, pxSrv.URL, "", testArch().New(int64(80+i)).SnapshotParams())
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("send %d: %s", i, resp.Status)
-		}
-	}
-	flushTier(t, px)
-	st := px.Status()
-	if st.OutboxPending != 0 || st.Forwarded != 0 {
-		t.Fatalf("pending/forwarded = %d/%d, want 0/0 (entry quarantined)", st.OutboxPending, st.Forwarded)
-	}
-	if got := px.box.Progress(0); got != 0 {
-		t.Fatalf("quarantined entry leaked a progress marker (%d)", got)
 	}
 }
 
@@ -1077,17 +1099,17 @@ func TestAggServerBatchRejectsGarbage(t *testing.T) {
 }
 
 // FuzzDeliveryEquivalence fuzzes the delivery pipeline's core invariant
-// over epochs × shard count × round size × batch mode × mixer storage
-// mode: every epoch's delivered round must average to exactly that
-// epoch's classic-FL mean.
+// over epochs × shard count × round size × ingress format × transport:
+// every epoch's delivered round must average to exactly that epoch's
+// classic-FL mean.
 func FuzzDeliveryEquivalence(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(3), true, false)
-	f.Add(uint8(2), uint8(2), uint8(4), true, false)
-	f.Add(uint8(3), uint8(3), uint8(5), true, true)
-	f.Add(uint8(2), uint8(2), uint8(4), false, true)
-	f.Add(uint8(2), uint8(2), uint8(6), true, false)
-	f.Add(uint8(3), uint8(1), uint8(7), true, true)
-	f.Fuzz(func(t *testing.T, epochs, shards, c uint8, batch, loop bool) {
+	f.Add(uint8(1), uint8(1), uint8(3), false)
+	f.Add(uint8(2), uint8(2), uint8(4), false)
+	f.Add(uint8(3), uint8(3), uint8(5), true)
+	f.Add(uint8(2), uint8(2), uint8(4), true)
+	f.Add(uint8(2), uint8(2), uint8(6), false)
+	f.Add(uint8(3), uint8(1), uint8(7), true)
+	f.Fuzz(func(t *testing.T, epochs, shards, c uint8, loop bool) {
 		e := int(epochs)%3 + 1
 		p := int(shards)%4 + 1
 		clients := p + int(c)%8
@@ -1106,13 +1128,9 @@ func FuzzDeliveryEquivalence(f *testing.F) {
 		aggEP := tn.serve("loop://agg", agg)
 		px, err := NewSharded(ShardedConfig{
 			Upstream: aggEP, K: 1, RoundSize: clients, Shards: p,
-			Seed: int64(e*100 + p*10 + clients), NoBatch: !batch,
+			Seed:      int64(e*100 + p*10 + clients),
 			RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 			Transport: tn.cfgTransport(),
-			// Storage-mode dimension, derived from an existing parameter so
-			// the corpus stays valid: slab-backed (the default) and legacy
-			// mixers must deliver identical aggregates.
-			LegacyMix: c&1 == 1,
 		}, encl, platform)
 		if err != nil {
 			t.Fatal(err)
@@ -1168,7 +1186,7 @@ func FuzzDeliveryEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			if !got.ApproxEqual(want, 1e-9) {
-				t.Fatalf("epoch %d (P=%d C=%d batch=%v): delivered mean != classic mean", epoch, p, clients, batch)
+				t.Fatalf("epoch %d (P=%d C=%d): delivered mean != classic mean", epoch, p, clients)
 			}
 		}
 	})

@@ -182,12 +182,11 @@ func TestDeliveryLaneIsolationDeadPeer(t *testing.T) {
 	}
 }
 
-// TestDeliveryLaneCrashRestartProgress proves per-lane NoBatch progress
-// is exactly-once across a crash: a peer lane is interrupted mid-entry
-// (one of two singles delivered) while the agg lane completes; the proxy
-// crashes; the restarted proxy resumes the peer lane from its durable
-// .prog marker — never re-sending the confirmed single — and the round
-// closes with the classic mean.
+// TestDeliveryLaneCrashRestartProgress proves per-lane delivery is
+// exactly-once across a crash: the peer refuses the peer lane's batch
+// while the agg lane completes; the proxy crashes with only the peer
+// entry on disk; the restarted proxy delivers that batch exactly once
+// and the round closes with the classic mean.
 func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	const c = 4
 	platform, encl := fixtures(t)
@@ -199,7 +198,7 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	aggSrv := httptest.NewServer(agg.Handler())
 	t.Cleanup(aggSrv.Close)
 
-	// The peer accepts exactly one hop POST, then fails until reopened.
+	// The peer refuses every batch until the gate opens.
 	peerEncl, err := enclave.New(enclave.Config{CodeIdentity: "shard-enclave-210", RSABits: 1024}, platform)
 	if err != nil {
 		t.Fatal(err)
@@ -215,14 +214,17 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	var (
 		mu       sync.Mutex
 		accepted int
+		refused  int
 		gateOpen bool
 	)
 	peerGate := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
 			mu.Lock()
-			ok := gateOpen || accepted < 1
+			ok := gateOpen
 			if ok {
 				accepted++
+			} else {
+				refused++
 			}
 			mu.Unlock()
 			if !ok {
@@ -247,8 +249,8 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 		Routing:      route.ModeHashQuota,
 		ShardSpecs:   []route.ShardSpec{{}, {Addr: peerSrv.URL}},
 		RemoteShards: map[string]RemoteShard{peerSrv.URL: {Key: key}},
-		NoBatch:      true, OutboxDir: outboxDir,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
+		OutboxDir:    outboxDir,
+		RetryBase:    time.Millisecond, RetryMax: 5 * time.Millisecond,
 	}
 	px1, err := NewSharded(cfg, encl, platform)
 	if err != nil {
@@ -265,47 +267,44 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	}
 
 	// Wait until the independent lanes reach the crash point: the agg
-	// lane fully delivered (2 singles straight to the server), the peer
-	// lane stuck at 1 of 2.
+	// lane fully delivered (its batch straight to the server), the peer
+	// lane's batch refused at least once.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := px1.Status()
 		aggLane, _ := laneStatus(st, "")
 		mu.Lock()
-		n := accepted
+		n := refused
 		mu.Unlock()
-		if aggLane.Pending == 0 && aggLane.Delivered == 1 && n == 1 {
+		if aggLane.Pending == 0 && aggLane.Delivered == 1 && n >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("lanes did not reach the crash point: agg %+v, peer accepted %d", st.OutboxLanes, n)
+			t.Fatalf("lanes did not reach the crash point: agg %+v, peer refused %d", st.OutboxLanes, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Crash. On disk: only the peer entry (.ent) remains — the agg lane's
-	// entry was acked and removed — alongside its .prog marker.
+	// Crash. On disk: only the peer entry remains — the agg lane's entry
+	// was acked and removed.
 	px1Srv.Close()
 	px1.Close()
-	var ents, progs int
+	var ents int
 	names, err := os.ReadDir(outboxDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, de := range names {
-		switch {
-		case strings.HasSuffix(de.Name(), ".ent"):
+		if strings.HasSuffix(de.Name(), ".ent") {
 			ents++
-		case strings.HasSuffix(de.Name(), ".prog"):
-			progs++
 		}
 	}
-	if ents != 1 || progs != 1 {
-		t.Fatalf("crash left %d entries and %d progress markers, want 1 and 1 (peer lane only)", ents, progs)
+	if ents != 1 {
+		t.Fatalf("crash left %d entries, want 1 (peer lane only)", ents)
 	}
 
 	// Restart over the same outbox; the peer recovers. The resumed lane
-	// must send exactly the one unconfirmed single.
+	// must deliver its batch exactly once.
 	mu.Lock()
 	gateOpen = true
 	mu.Unlock()
@@ -319,8 +318,8 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	mu.Lock()
 	total := accepted
 	mu.Unlock()
-	if total != 2 {
-		t.Fatalf("peer accepted %d POSTs, want exactly 2 (the .prog resume must not re-send)", total)
+	if total != 1 {
+		t.Fatalf("peer accepted %d POSTs, want exactly 1 (the peer lane's batch)", total)
 	}
 	if hr := peer.Status().HopReceived; hr != 2 {
 		t.Fatalf("peer ingested %d hop updates, want 2", hr)

@@ -262,6 +262,10 @@ func TestParticipantSendWithoutKey(t *testing.T) {
 	}
 }
 
+// TestAggServerRejectsBadBody: the server takes mixed updates only as
+// /v1/batch envelopes (TestAggServerBatchRejectsGarbage covers bad ones
+// there). Its single-update endpoint answers 404 to junk and to a
+// well-formed plaintext update alike, and counts nothing.
 func TestAggServerRejectsBadBody(t *testing.T) {
 	agg, err := NewAggServer(testArch().New(1).SnapshotParams(), 2)
 	if err != nil {
@@ -269,13 +273,26 @@ func TestAggServerRejectsBadBody(t *testing.T) {
 	}
 	srv := httptest.NewServer(agg.Handler())
 	t.Cleanup(srv.Close)
-	resp, err := http.Post(srv.URL+"/v1/update", wire.ContentTypeUpdate, bytes.NewReader([]byte("junk")))
+	valid, err := nn.EncodeParamSet(testArch().New(2).SnapshotParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	for _, body := range [][]byte{[]byte("junk"), valid} {
+		resp, err := http.Post(srv.URL+"/v1/update", wire.ContentTypeUpdate, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("status = %d, want 404", resp.StatusCode)
+		}
+	}
+	st, err := agg.HandleStatus(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Server.UpdatesInRound != 0 {
+		t.Fatalf("single-update posts were counted: %d", st.Server.UpdatesInRound)
 	}
 }
 
@@ -291,7 +308,11 @@ func TestAggServerStatusEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/v1/update", wire.ContentTypeUpdate, bytes.NewReader(raw))
+	enc, err := wire.BatchEnvelope{Updates: [][]byte{raw}}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/batch", wire.ContentTypeBatch, bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}

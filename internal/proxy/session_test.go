@@ -143,21 +143,12 @@ func TestSessionReestablishAcrossProxyRestart(t *testing.T) {
 // session cache mid-stream: the front proxy's next batch delivery (a
 // session data message) is rejected 428, the dispatcher invalidates the
 // memoized body plus session and the retry re-establishes — the round
-// delivers instead of being quarantined. Runs both delivery shapes:
-// batched rounds (the memoized-body path) and per-update singles (the
-// forwardOne path, which re-wraps fresh on every attempt).
+// delivers instead of being quarantined.
 func TestSessionHopReestablishAcrossCascade(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{{"batch", false}, {"singles", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			testSessionHopReestablish(t, mode.noBatch)
-		})
-	}
+	t.Run("batch", testSessionHopReestablish)
 }
 
-func testSessionHopReestablish(t *testing.T, noBatch bool) {
+func testSessionHopReestablish(t *testing.T) {
 	frontPlat, frontEncl := sessionEnclave(t, enclave.Config{CodeIdentity: "front"})
 	hopPlat, hopEncl := sessionEnclave(t, enclave.Config{CodeIdentity: "hop"})
 	const clients = 3
@@ -183,7 +174,7 @@ func testSessionHopReestablish(t *testing.T, noBatch bool) {
 	front, err := NewSharded(ShardedConfig{
 		NextHop:    "loop://hop",
 		NextHopKey: enclave.PinnedHop(hopEncl.PublicKey(), hopEncl.Measurement()),
-		K:          1, RoundSize: clients, Shards: 1, Seed: 13, NoBatch: noBatch,
+		K:          1, RoundSize: clients, Shards: 1, Seed: 13,
 		Transport: lb, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 	}, frontEncl, frontPlat)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,8 +39,7 @@ type ShardedConfig struct {
 	Upstream string
 	// NextHop, when non-empty, is the base URL of the next mixing proxy of
 	// the cascade. Mixed updates are re-encrypted with NextHopKey and
-	// posted to {NextHop}/v1/batch (or /v1/hop with NoBatch) instead of
-	// Upstream.
+	// posted to {NextHop}/v1/batch instead of Upstream.
 	NextHop string
 	// NextHopKey is the attested (or pinned) key material for NextHop.
 	// Required when NextHop is set.
@@ -47,8 +47,8 @@ type ShardedConfig struct {
 	// NextHopSecret, when non-empty, is sent as a bearer token with
 	// forwarded hop traffic (it must match the next hop's HopSecret).
 	NextHopSecret string
-	// HopSecret, when non-empty, gates this proxy's /v1/hop and /v1/batch
-	// endpoints: requests without the matching bearer token are rejected.
+	// HopSecret, when non-empty, gates this proxy's /v1/batch endpoint:
+	// requests without the matching bearer token are rejected.
 	// Without it any party holding the (public) enclave key can post hop
 	// traffic and poison the round's hop watermark, killing the round at
 	// the next depth check.
@@ -91,13 +91,6 @@ type ShardedConfig struct {
 	RoundSize int
 	// MaxHops bounds cascade depth (default DefaultMaxHops).
 	MaxHops int
-	// LegacyMix switches the local shards back to the legacy per-tensor
-	// mixer storage. By default every local shard runs slab-backed (one
-	// contiguous float64 slab per round, recycled across epochs through a
-	// pool), which mixes bit-identically for the same seed but without
-	// the per-update decode allocations. The flag exists as an escape
-	// hatch while the slab path beds in.
-	LegacyMix bool
 	// Seed drives the mixing randomness (each shard derives its own
 	// stream from it, per epoch).
 	Seed int64
@@ -107,12 +100,6 @@ type ShardedConfig struct {
 	// crashes. Empty = an in-memory queue: delivery is still asynchronous
 	// and retried, but entries die with the process.
 	OutboxDir string
-	// NoBatch forwards each update of a drained round individually to the
-	// single-update endpoints (/v1/update, /v1/hop) instead of coalescing
-	// the round into one /v1/batch POST — compatibility with pre-batch
-	// downstreams, at C requests per round and without the batch
-	// idempotency id (delivery degrades to at-least-once across crashes).
-	NoBatch bool
 	// RetryBase and RetryMax bound each delivery lane's exponential
 	// backoff (defaults outbox.DefaultRetryBase/Max).
 	RetryBase time.Duration
@@ -125,8 +112,8 @@ type ShardedConfig struct {
 	// DeliveryTimeout bounds one delivery attempt (default
 	// outbox.DefaultAttemptTimeout; clamped to at least RetryMax).
 	DeliveryTimeout time.Duration
-	// Transport carries every outbound leg of this tier — batch/single
-	// delivery downstream, relay legs to remote shards, and the hop
+	// Transport carries every outbound leg of this tier — batch delivery
+	// downstream, relay legs to remote shards, and the hop
 	// attestation handshakes admin directives trigger. nil = the HTTP
 	// transport (over HTTPClient when set); a transport.Loopback here
 	// runs the whole tier in-process.
@@ -199,13 +186,14 @@ type ShardedProxy struct {
 	// planner owns the routing plane's lifecycle: admin directives stage
 	// the next epoch's topology there; the round-close swap advances it.
 	planner *route.Planner
-	// slabPool recycles the local mixers' slab chunks across epochs (nil
-	// with LegacyMix). Chunks return to it only after their round's
-	// outbox commit fully succeeded — see packageRound.
+	// slabPool recycles the local mixers' slab chunks across epochs.
+	// Chunks return to it only after their round's outbox commit fully
+	// succeeded — see packageRound.
 	slabPool *core.SlabPool
 
-	// dcache memoises each in-flight entry's parsed envelope and (batch
-	// mode) request body between retry attempts — entries are immutable,
+	// dcache memoises each in-flight entry's parsed envelope, its split
+	// into batch parts and the next part's request body between retry
+	// attempts — entries are immutable,
 	// and a long outage must not re-parse/re-encode a large round every
 	// backoff tick. Keyed by entry seq: delivery lanes run concurrently.
 	dcache deliverCache
@@ -373,10 +361,7 @@ func NewSharded(cfg ShardedConfig, encl *enclave.Enclave, platform *enclave.Plat
 			return nil, fmt.Errorf("proxy: remote shard %q has no attested key material (RemoteShards)", addr)
 		}
 	}
-	var pool *core.SlabPool
-	if !cfg.LegacyMix {
-		pool = core.NewSlabPool()
-	}
+	pool := core.NewSlabPool()
 	shards, err := newShardSet(cfg, topo, 0, pool)
 	if err != nil {
 		return nil, err
@@ -472,13 +457,7 @@ func newShardSet(cfg ShardedConfig, topo *route.Topology, epoch int, pool *core.
 		// but a shared rand.Rand across concurrently-adding shards would
 		// race.
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*int64(topo.P()) + int64(s)))
-		var m *core.StreamMixer
-		var err error
-		if cfg.LegacyMix {
-			m, err = core.NewStreamMixer(k, rng)
-		} else {
-			m, err = core.NewStreamMixerSlab(k, rng, pool)
-		}
+		m, err := core.NewStreamMixerSlab(k, rng, pool)
 		if err != nil {
 			return nil, fmt.Errorf("proxy: shard %d: %w", s, err)
 		}
@@ -497,14 +476,14 @@ func (p *ShardedProxy) Shards() int {
 
 // Handler returns the sharded proxy's HTTP API — the typed protocol
 // served over the wire-compatible HTTP adapter: the participant
-// endpoint, the inter-proxy cascade endpoints (single and batched),
-// attestation, status and the topology admin plane.
+// endpoint, the inter-proxy batch endpoint, attestation, status and the
+// topology admin plane.
 func (p *ShardedProxy) Handler() http.Handler {
 	return transport.NewHandler(p)
 }
 
 // authorizeHop enforces the inter-proxy secret and the cascade depth
-// rules shared by the hop and batch ingresses, over any transport.
+// rules of the batch ingress, over any transport.
 func (p *ShardedProxy) authorizeHop(secret string, hop int) (int, error) {
 	if p.cfg.HopSecret != "" &&
 		subtle.ConstantTimeCompare([]byte(secret), []byte(p.cfg.HopSecret)) != 1 {
@@ -536,23 +515,20 @@ func (p *ShardedProxy) HandleUpdate(ctx context.Context, req transport.UpdateReq
 	if err := p.admit(req.ClientID); err != nil {
 		return transport.Receipt{Shard: -1}, err
 	}
-	return p.ingressOne(req.Body, req.ClientID, 0, false)
+	return p.ingressOne(req.Body, req.ClientID)
 }
 
-// HandleHop ingests one re-encrypted mixed update from an upstream
-// proxy of the cascade. It implements transport.Server.
+// HandleHop implements transport.Server: upstream proxies deliver only
+// through HandleBatch, so the single-update cascade endpoint is not
+// served (HTTP answers 404).
 func (p *ShardedProxy) HandleHop(ctx context.Context, req transport.HopRequest) (transport.Receipt, error) {
-	hop, err := p.authorizeHop(req.Secret, req.Hop)
-	if err != nil {
-		return transport.Receipt{Shard: -1}, err
-	}
-	return p.ingressOne(req.Body, "", hop, true)
+	return transport.Receipt{Shard: -1}, transport.ErrNotSupported
 }
 
-// ingressOne processes one encrypted update through the enclave
-// pipeline: decrypt, zero-copy decode, mix, and — when the round closes
-// — package it for delivery.
-func (p *ShardedProxy) ingressOne(body []byte, clientID string, hop int, fromHop bool) (transport.Receipt, error) {
+// ingressOne processes one encrypted participant update through the
+// enclave pipeline: decrypt, zero-copy decode, mix, and — when the round
+// closes — package it for delivery.
+func (p *ShardedProxy) ingressOne(body []byte, clientID string) (transport.Receipt, error) {
 	if err := transport.CheckBody(body); err != nil {
 		return transport.Receipt{Shard: -1}, err
 	}
@@ -571,10 +547,10 @@ func (p *ShardedProxy) ingressOne(body []byte, clientID string, hop int, fromHop
 		}
 		// No decode here: the plaintext wire bytes go straight to the
 		// routed shard, which picks its cheapest path to storage — a slab
-		// mixer decodes the payload directly into its slab row, a legacy
-		// mixer or relay shard runs the zero-copy decoder and aliases the
-		// buffer. Ownership of plain transfers with it.
-		closed, shard, err = p.ingest(nn.ParamSet{}, plain, len(plain), clientID, hop, fromHop, decryptDur, 0)
+		// mixer decodes the payload directly into its slab row, a relay
+		// shard runs the zero-copy decoder and aliases the buffer.
+		// Ownership of plain transfers with it.
+		closed, shard, err = p.ingest(nn.ParamSet{}, plain, len(plain), clientID, 0, decryptDur, 0)
 		return err
 	})
 	p.mu.Lock()
@@ -615,9 +591,9 @@ func ingressError(err error) error {
 	return transport.Errorf(http.StatusBadRequest, "%s", err.Error())
 }
 
-// HandleBatch ingests a whole drained round from an upstream proxy: a
-// BatchEnvelope wrapped for this enclave. It implements
-// transport.Server, shares the hop gate and depth rules with HandleHop,
+// HandleBatch ingests a drained round (or one part of it) from an
+// upstream proxy: a BatchEnvelope wrapped for this enclave. It
+// implements transport.Server, enforces the hop gate and depth rules,
 // and dedups on the sender's idempotency id so a redelivered batch
 // (lost acknowledgement, crashed upstream) cannot double-count a round.
 func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchRequest) (transport.Receipt, error) {
@@ -685,12 +661,12 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 		}
 		decodeDur := time.Since(t1)
 		// Spread the one decrypt/decode over the items so per-update
-		// stage means stay comparable with the single-update path.
+		// stage means stay comparable with participant ingress.
 		n := time.Duration(len(env.Updates))
 		var itemErrs int
 		var firstErr error
 		for i, ps := range pss {
-			closed, _, err := p.ingest(ps, nil, len(env.Updates[i]), "", hop, true, decryptDur/n, decodeDur/n)
+			closed, _, err := p.ingest(ps, nil, len(env.Updates[i]), "", hop, decryptDur/n, decodeDur/n)
 			if err != nil {
 				// An item the open round's mixers reject (structure set
 				// by earlier traffic of this epoch) can never be mixed at
@@ -772,12 +748,15 @@ type roundClose struct {
 // mixers while epoch N drains in the background (cross-round
 // pipelining).
 //
+// hop is the update's incoming cascade depth: 0 for a participant
+// update, at least 1 for material an upstream proxy delivered.
+//
 // The close's hop is the depth to stamp on the delivered round: one past
 // the highest incoming depth seen in the current round. Buffered material
 // loses its individual depth inside the mixers, so the watermark is what
 // keeps depth monotone — in an accidental proxy cycle the watermark grows
 // every traversal until the MaxHops check breaks the loop.
-func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID string, hop int, fromHop bool, decryptDur, decodeDur time.Duration) (*roundClose, int, error) {
+func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID string, hop int, decryptDur, decodeDur time.Duration) (*roundClose, int, error) {
 	p.enclave.Alloc(size)
 
 	p.mu.Lock()
@@ -785,7 +764,7 @@ func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID st
 	p.decryptT.add(decryptDur)
 	p.updateBytes = size
 	tAdd := time.Now()
-	// Single-update ingress hands the shard the raw wire bytes (wire
+	// Participant ingress hands the shard the raw wire bytes (wire
 	// non-nil) so a slab mixer can decode straight into its slab row; the
 	// batch path validated and decoded every item up front and files the
 	// decoded views. Either way there is exactly one copy of the floats
@@ -810,7 +789,7 @@ func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID st
 	if out != nil {
 		p.pending = append(p.pending, *out)
 	}
-	if fromHop {
+	if hop > 0 {
 		p.hopReceived++
 	} else {
 		p.received++
@@ -1130,10 +1109,16 @@ type deliverCache struct {
 // deliverMemo caches one outbox entry's delivery artefacts across retry
 // attempts.
 type deliverMemo struct {
-	env     *outbox.Envelope
-	body    []byte // assembled /v1/batch body (hop-wrapped if cascading)
-	id      string // idempotency id for body
-	singles bool   // round too large to batch; use the singles path
+	env *outbox.Envelope
+	// parts is env.Updates split into consecutive batches that each fit
+	// one request (see splitBatch); an ordinary round is one part.
+	parts [][][]byte
+	id    string // the entry's idempotency id; part ids derive from it
+	// next is the first part not yet acknowledged in this process. A
+	// crash forgets it: the restarted proxy resends every part and the
+	// receivers dedup the ones they already applied by part id.
+	next int
+	body []byte // assembled /v1/batch body of part next (hop-wrapped if cascading)
 	// sess is the crypto session that wrapped body (nil on the
 	// plaintext server leg): a typed session rejection invalidates
 	// exactly this session plus the memoized body, and the retry
@@ -1170,6 +1155,44 @@ func (c *deliverCache) drop(seq uint64) {
 func batchIDFor(payload []byte) string {
 	sum := sha256.Sum256(payload)
 	return hex.EncodeToString(sum[:16])
+}
+
+// partID is the idempotency id of part i of the entry whose id is id.
+// Part 0 keeps the entry id, so a one-part entry goes on the wire
+// exactly as an unsplit batch.
+func partID(id string, i int) string {
+	if i == 0 {
+		return id
+	}
+	return id + "." + strconv.Itoa(i)
+}
+
+// maxBatchBody bounds one /v1/batch body before hop wrapping: the
+// receiver's read bound less a margin for the session frame.
+const maxBatchBody = wire.MaxBodyBytes - 4096
+
+// splitBatch splits updates into consecutive parts whose encoded
+// BatchEnvelopes are each at most limit bytes, packing greedily in
+// order. An update that cannot fit even alone can never be delivered,
+// so it is a permanent error.
+func splitBatch(updates [][]byte, limit int) ([][][]byte, error) {
+	var parts [][][]byte
+	start, size := 0, wire.BatchHeaderBytes
+	for i, u := range updates {
+		n := wire.BatchItemHeaderBytes + len(u)
+		if wire.BatchHeaderBytes+n > limit {
+			return nil, outbox.Permanent(fmt.Errorf("proxy: update %d (%d bytes) exceeds the %d-byte batch bound", i, len(u), limit))
+		}
+		if size+n > limit {
+			parts = append(parts, updates[start:i:i])
+			start, size = i, wire.BatchHeaderBytes
+		}
+		size += n
+	}
+	if start < len(updates) {
+		parts = append(parts, updates[start:])
+	}
+	return parts, nil
 }
 
 // hopSession pairs a destination's crypto session with the hop key it
@@ -1269,7 +1292,7 @@ func (p *ShardedProxy) target(env *outbox.Envelope) (hopTarget, error) {
 // the queue (acked or quarantined) — the memo map must track only live
 // retries, not every entry ever delivered.
 func (p *ShardedProxy) deliver(ctx context.Context, seq uint64, payload []byte) error {
-	err := p.deliverPayload(ctx, seq, payload)
+	err := p.deliverPayload(ctx, seq, payload, maxBatchBody)
 	var perm *outbox.PermanentError
 	if err == nil || errors.As(err, &perm) {
 		p.dcache.drop(seq)
@@ -1277,7 +1300,11 @@ func (p *ShardedProxy) deliver(ctx context.Context, seq uint64, payload []byte) 
 	return err
 }
 
-func (p *ShardedProxy) deliverPayload(ctx context.Context, seq uint64, payload []byte) error {
+// deliverPayload splits an entry into parts of at most limit encoded
+// bytes and sends them in order, each as one /v1/batch request carrying
+// its part id and the entry's sender sequence; a retry resumes at the
+// first unacknowledged part.
+func (p *ShardedProxy) deliverPayload(ctx context.Context, seq uint64, payload []byte, limit int) error {
 	c := p.dcache.get(seq)
 	if c == nil {
 		env, err := outbox.ParseEnvelope(payload)
@@ -1286,118 +1313,62 @@ func (p *ShardedProxy) deliverPayload(ctx context.Context, seq uint64, payload [
 			// parse failure means a foreign or torn payload: set it aside.
 			return outbox.Permanent(err)
 		}
-		c = &deliverMemo{env: env}
+		parts, err := splitBatch(env.Updates, limit)
+		if err != nil {
+			return err
+		}
+		c = &deliverMemo{env: env, parts: parts, id: batchIDFor(payload)}
 		p.dcache.put(seq, c)
 	}
-	env := c.env
-	if len(env.Updates) == 0 {
+	if c.next == len(c.parts) {
 		return nil
 	}
+	env := c.env
 	tgt, err := p.target(env)
 	if err != nil {
 		return err
 	}
-	if p.cfg.NoBatch || c.singles {
-		return p.deliverSingles(ctx, seq, env, tgt)
-	}
-	if c.body == nil {
-		enc, err := wire.BatchEnvelope{Updates: env.Updates}.Encode()
-		if err != nil {
-			return outbox.Permanent(err)
-		}
-		// The batch body must fit the receiver's read bound (plus
-		// hop-wrap overhead); a round too large to batch — huge models ×
-		// large C — falls back to per-update delivery instead of being
-		// permanently rejected downstream and quarantined.
-		const wrapMargin = 4096
-		if len(enc)+wrapMargin > wire.MaxBodyBytes {
-			// No silent caps: the fallback loses the batch idempotency id
-			// (per-update POSTs are at-least-once across a crash), so the
-			// downgrade must be visible.
-			log.Printf("proxy: entry %d (%d bytes) exceeds the batch body bound; delivering per update", seq, len(enc))
-			c.singles = true
-			return p.deliverSingles(ctx, seq, env, tgt)
-		}
-		if tgt.key != nil {
-			if enc, c.sess, err = p.wrapForHop(tgt, enc); err != nil {
-				return err
+	for ; c.next < len(c.parts); c.next++ {
+		part := c.parts[c.next]
+		if c.body == nil {
+			enc, err := wire.BatchEnvelope{Updates: part}.Encode()
+			if err != nil {
+				return outbox.Permanent(err)
 			}
+			if tgt.key != nil {
+				if enc, c.sess, err = p.wrapForHop(tgt, enc); err != nil {
+					return err
+				}
+			}
+			c.body = enc
 		}
-		c.body, c.id = enc, batchIDFor(payload)
-	}
-	req := transport.BatchRequest{Body: c.body, ID: c.id}
-	if tgt.key != nil {
-		req.Hop, req.Secret = env.Hop, tgt.secret
-	}
-	// Sender identity + entry sequence let the receiver detect a stale
-	// redelivery even after the id aged out of its dedup window.
-	if sender := p.box.SenderID(); sender != "" {
-		req.Sender, req.Seq, req.HasSeq = sender, seq, true
-	}
-	if _, err := p.tr.SendBatch(ctx, tgt.base, req); err != nil {
-		if transport.SessionRejected(err) {
-			// The downstream enclave lost our session and provably
-			// ingested nothing: invalidate the memoized body so the next
-			// attempt re-wraps under a fresh establish (the idempotency
-			// id is plaintext-derived and unchanged, so a downstream
-			// that DID apply an earlier attempt still dedups it).
-			p.dropHopSession(tgt.base, c.sess)
-			c.body, c.id, c.sess = nil, "", nil
+		req := transport.BatchRequest{Body: c.body, ID: partID(c.id, c.next)}
+		if tgt.key != nil {
+			req.Hop, req.Secret = env.Hop, tgt.secret
 		}
-		return classifyDelivery(err)
-	}
-	p.mu.Lock()
-	p.forwarded += len(env.Updates)
-	p.batches++
-	p.mu.Unlock()
-	return nil
-}
-
-// deliverSingles is the NoBatch compatibility path: one POST per update
-// to the single-update endpoints. Progress is persisted into the outbox
-// on every confirmed send, so a mid-round outage — or a proxy crash —
-// resumes where delivery stopped instead of resending the round:
-// per-update delivery is exactly-once across crashes too, not just
-// within one process lifetime.
-func (p *ShardedProxy) deliverSingles(ctx context.Context, seq uint64, env *outbox.Envelope, tgt hopTarget) error {
-	for i := p.box.Progress(seq); i < len(env.Updates); i++ {
-		if err := p.forwardOne(ctx, env.Updates[i], env.Hop, tgt); err != nil {
-			return err
+		// Sender identity + entry sequence let the receiver detect a stale
+		// redelivery even after the id aged out of its dedup window. Parts
+		// of one entry share the sequence; their ids tell them apart.
+		if sender := p.box.SenderID(); sender != "" {
+			req.Sender, req.Seq, req.HasSeq = sender, seq, true
 		}
-		if perr := p.box.SetProgress(seq, i+1); perr != nil {
-			// Progress is an optimisation for crash recovery; failing to
-			// record it must not fail the delivery — but it must be loud,
-			// because a crash now would re-send from the last marker.
-			log.Printf("proxy: entry %d: record delivery progress %d: %v", seq, i+1, perr)
+		if _, err := p.tr.SendBatch(ctx, tgt.base, req); err != nil {
+			if transport.SessionRejected(err) {
+				// The downstream enclave lost our session and provably
+				// ingested nothing: invalidate the memoized body so the next
+				// attempt re-wraps under a fresh establish (the idempotency
+				// id is plaintext-derived and unchanged, so a downstream
+				// that DID apply an earlier attempt still dedups it).
+				p.dropHopSession(tgt.base, c.sess)
+				c.body, c.sess = nil, nil
+			}
+			return classifyDelivery(err)
 		}
+		c.body, c.sess = nil, nil
 		p.mu.Lock()
-		p.forwarded++
+		p.forwarded += len(part)
+		p.batches++
 		p.mu.Unlock()
-	}
-	return nil
-}
-
-// forwardOne sends one mixed update onward: re-encrypted for the
-// target's enclave when it has a hop key (cascade next hop or remote
-// shard), in plaintext to the aggregation server otherwise.
-func (p *ShardedProxy) forwardOne(ctx context.Context, raw []byte, fwdHop int, tgt hopTarget) error {
-	var err error
-	if tgt.key != nil {
-		ct, sess, werr := p.wrapForHop(tgt, raw)
-		if werr != nil {
-			return werr
-		}
-		_, err = p.tr.Hop(ctx, tgt.base, transport.HopRequest{Body: ct, Hop: fwdHop, Secret: tgt.secret})
-		if err != nil && transport.SessionRejected(err) {
-			// Singles wrap fresh per attempt, so dropping the session is
-			// all the recovery the retry needs.
-			p.dropHopSession(tgt.base, sess)
-		}
-	} else {
-		_, err = p.tr.SendUpdate(ctx, tgt.base, transport.UpdateRequest{Body: raw})
-	}
-	if err != nil {
-		return classifyDelivery(err)
 	}
 	return nil
 }

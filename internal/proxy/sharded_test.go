@@ -162,6 +162,11 @@ func TestShardedProxyStickyClientRouting(t *testing.T) {
 	}
 }
 
+// TestShardedProxyHopLimit: cascade depth enters a proxy only through
+// the gated /v1/batch endpoint (whose depth rules
+// TestDeliveryBatchEndpointForgedHop pins). The single-update /v1/hop
+// endpoint is not served, and a depth header on the participant
+// endpoint is rejected outright.
 func TestShardedProxyHopLimit(t *testing.T) {
 	_, encl := fixtures(t)
 	_, px, proxyURL, _ := shardedDeployment(t, 4, 2, 2)
@@ -174,46 +179,33 @@ func TestShardedProxyHopLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, proxyURL+"/v1/hop", bytes.NewReader(ct))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(wire.HeaderHop, strconv.Itoa(DefaultMaxHops+1))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusLoopDetected {
-		t.Fatalf("over-deep hop returned %s, want 508", resp.Status)
+	for _, hop := range []string{"1", strconv.Itoa(DefaultMaxHops + 1)} {
+		req, err := http.NewRequest(http.MethodPost, proxyURL+"/v1/hop", bytes.NewReader(ct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(wire.HeaderHop, hop)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("/v1/hop at depth %s returned %s, want 404", hop, resp.Status)
+		}
 	}
 	if got := px.Status().HopReceived; got != 0 {
 		t.Fatalf("rejected hop still counted: %d", got)
 	}
 
-	// A malformed hop header is a plain bad request.
-	req, err = http.NewRequest(http.MethodPost, proxyURL+"/v1/hop", bytes.NewReader(ct))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(wire.HeaderHop, "-3")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad hop header returned %s, want 400", resp.Status)
-	}
-
 	// Participants must not be able to forge cascade depth: any
 	// X-Mixnn-Hop on /v1/update is rejected outright.
-	req, err = http.NewRequest(http.MethodPost, proxyURL+"/v1/update", bytes.NewReader(ct))
+	req, err := http.NewRequest(http.MethodPost, proxyURL+"/v1/update", bytes.NewReader(ct))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set(wire.HeaderHop, "2")
-	resp, err = http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,12 +317,16 @@ func TestCascadeHopWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := enclave.Encrypt(encl.PublicKey(), raw)
+	enc, err := wire.BatchEnvelope{Updates: [][]byte{raw}}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three participant updates (depth 0) and one cascade update at
-	// depth 2 close the round; the delivered batch must be stamped 3.
+	ct, err := enclave.Encrypt(encl.PublicKey(), enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three participant updates (depth 0) and a one-update cascade batch
+	// at depth 2 close the round; the delivered batch must be stamped 3.
 	for i := 0; i < 3; i++ {
 		resp := sendRaw(t, encl, pxSrv.URL, "", testArch().New(4).SnapshotParams())
 		resp.Body.Close()
@@ -338,7 +334,7 @@ func TestCascadeHopWatermark(t *testing.T) {
 			t.Fatalf("participant update %d: %s", i, resp.Status)
 		}
 	}
-	req, err := http.NewRequest(http.MethodPost, pxSrv.URL+"/v1/hop", bytes.NewReader(ct))
+	req, err := http.NewRequest(http.MethodPost, pxSrv.URL+"/v1/batch", bytes.NewReader(ct))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +345,7 @@ func TestCascadeHopWatermark(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("hop update: %s", resp.Status)
+		t.Fatalf("cascade batch: %s", resp.Status)
 	}
 	flushTier(t, px)
 

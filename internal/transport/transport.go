@@ -42,14 +42,14 @@ import (
 // failures (peer unreachable) — the distinction callers classify retry
 // policy on.
 type Transport interface {
-	// SendUpdate posts one model update: an enclave ciphertext on the
-	// participant→proxy leg, a plaintext encoded ParamSet on the
-	// proxy→server leg.
+	// SendUpdate posts one participant update (an enclave ciphertext)
+	// to a mixing proxy. The aggregation server does not serve it.
 	SendUpdate(ctx context.Context, ep string, req UpdateRequest) (Receipt, error)
-	// Hop posts one re-encrypted mixed update to the next proxy of a
-	// cascade.
+	// Hop posts one re-encrypted mixed update to /v1/hop. No in-repo
+	// server serves it: proxies deliver mixed rounds only by SendBatch.
 	Hop(ctx context.Context, ep string, req HopRequest) (Receipt, error)
-	// SendBatch posts a whole drained round in one request.
+	// SendBatch posts a drained round, or one part of a round too large
+	// for one request, to the next proxy or the aggregation server.
 	SendBatch(ctx context.Context, ep string, req BatchRequest) (Receipt, error)
 	// Attest fetches the peer enclave's attestation report bound to the
 	// caller's nonce.

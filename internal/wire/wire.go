@@ -4,18 +4,17 @@
 //
 // Endpoints (all bodies are binary unless noted):
 //
-//	POST {proxy}/v1/update        encrypted update (enclave hybrid ciphertext)
-//	POST {proxy}/v1/hop           re-encrypted mixed update from an upstream
-//	                              proxy (cascade mode); X-Mixnn-Hop header
-//	                              carries the hop depth
-//	POST {proxy}/v1/batch         a whole drained round from an upstream
-//	                              proxy: a BatchEnvelope re-encrypted for
-//	                              this hop's enclave; X-Mixnn-Hop carries
-//	                              the depth, X-Mixnn-Batch the idempotency
-//	                              id the receiver dedups on
-//	POST {server}/v1/update       plaintext encoded ParamSet (from the proxy)
-//	POST {server}/v1/batch        plaintext BatchEnvelope (one drained
-//	                              round); X-Mixnn-Batch idempotency id
+//	POST {proxy}/v1/update        encrypted participant update (enclave
+//	                              session or hybrid ciphertext)
+//	POST {proxy}/v1/batch         a drained round (or one part of it) from
+//	                              an upstream proxy: a BatchEnvelope
+//	                              re-encrypted for this hop's enclave;
+//	                              X-Mixnn-Hop carries the depth,
+//	                              X-Mixnn-Batch the idempotency id the
+//	                              receiver dedups on
+//	POST {server}/v1/batch        plaintext BatchEnvelope (a drained round
+//	                              or one part of it); X-Mixnn-Batch
+//	                              idempotency id
 //	GET  {server}/v1/model        current global model; X-Mixnn-Round header
 //	GET  {server}/v1/status       JSON ServerStatus
 //	GET  {proxy}/v1/attestation   JSON AttestationResponse (nonce query param)
@@ -35,8 +34,9 @@
 //	                              requires the inter-proxy secret — 403
 //	                              when the proxy runs without one
 //
-// The single-update endpoints remain for compatibility; batch-capable
-// proxies coalesce a drained round into one /v1/batch POST.
+// Mixed updates travel between tiers only inside /v1/batch requests: a
+// round whose envelope would exceed MaxBodyBytes is split into several
+// batches. A proxy's /v1/hop and the server's /v1/update answer 404.
 package wire
 
 import (
@@ -160,6 +160,13 @@ const (
 	batchMagic   = "MXBE"
 	batchVersion = 1
 
+	// BatchHeaderBytes is the encoded size of the envelope header (magic,
+	// version, count) and BatchItemHeaderBytes that of each update's
+	// length prefix, so an envelope encodes to BatchHeaderBytes plus
+	// BatchItemHeaderBytes+len(u) per update.
+	BatchHeaderBytes     = 4 + 1 + 4
+	BatchItemHeaderBytes = 4
+
 	// maxBatchUpdates bounds the updates one envelope may claim (the
 	// decoder handles untrusted input).
 	maxBatchUpdates = 1 << 20
@@ -173,9 +180,9 @@ func (e BatchEnvelope) Encode() ([]byte, error) {
 	if len(e.Updates) > maxBatchUpdates {
 		return nil, fmt.Errorf("wire: batch of %d updates exceeds limit", len(e.Updates))
 	}
-	n := 4 + 1 + 4
+	n := BatchHeaderBytes
 	for _, u := range e.Updates {
-		n += 4 + len(u)
+		n += BatchItemHeaderBytes + len(u)
 	}
 	out := make([]byte, 0, n)
 	out = append(out, batchMagic...)
