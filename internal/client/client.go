@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mixnn/internal/enclave"
@@ -100,10 +101,12 @@ type attestFlight struct {
 // clientSession pairs an endpoint's crypto session with the enclave
 // key it was established against, so a re-attested endpoint (fresh
 // enclave key) invalidates the session instead of sending undecryptable
-// traffic.
+// traffic. acked is set once the endpoint acknowledges any of the
+// session's frames — only then can the enclave be holding it.
 type clientSession struct {
-	pub  *rsa.PublicKey
-	sess *enclave.Session
+	pub   *rsa.PublicKey
+	sess  *enclave.Session
+	acked atomic.Bool
 }
 
 // New builds a participant session. The trust material may arrive later
@@ -377,11 +380,11 @@ func (c *Participant) attestOne(ctx context.Context, ep string) (*rsa.PublicKey,
 // cached one was built for a superseded key). The RSA wrap runs outside
 // the lock; a racing establisher's session wins and the loser's wrap is
 // discarded.
-func (c *Participant) sessionFor(ep string, key *rsa.PublicKey) (*enclave.Session, error) {
+func (c *Participant) sessionFor(ep string, key *rsa.PublicKey) (*clientSession, error) {
 	c.mu.Lock()
 	if s := c.sessions[ep]; s != nil && s.pub == key {
 		c.mu.Unlock()
-		return s.sess, nil
+		return s, nil
 	}
 	c.mu.Unlock()
 	sess, err := enclave.NewSession(key)
@@ -391,19 +394,20 @@ func (c *Participant) sessionFor(ep string, key *rsa.PublicKey) (*enclave.Sessio
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s := c.sessions[ep]; s != nil && s.pub == key {
-		return s.sess, nil
+		return s, nil
 	}
-	c.sessions[ep] = &clientSession{pub: key, sess: sess}
-	return sess, nil
+	cs := &clientSession{pub: key, sess: sess}
+	c.sessions[ep] = cs
+	return cs, nil
 }
 
-// dropSession invalidates ep's session — but only if sess is still the
+// dropSession invalidates ep's session — but only if cs is still the
 // pinned one, so a loser of a concurrent re-establish race cannot tear
 // down the winner's fresh session.
-func (c *Participant) dropSession(ep string, sess *enclave.Session) {
+func (c *Participant) dropSession(ep string, cs *clientSession) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s := c.sessions[ep]; s != nil && s.sess == sess {
+	if c.sessions[ep] == cs {
 		delete(c.sessions, ep)
 	}
 }
@@ -415,17 +419,17 @@ func (c *Participant) dropSession(ep string, sess *enclave.Session) {
 // invalidate precisely that session on a typed session rejection. A
 // session whose counter space is exhausted is rotated once,
 // transparently.
-func (c *Participant) wrapFor(ep string, key *rsa.PublicKey, raw []byte) ([]byte, *enclave.Session, error) {
+func (c *Participant) wrapFor(ep string, key *rsa.PublicKey, raw []byte) ([]byte, *clientSession, error) {
 	for attempt := 0; ; attempt++ {
-		sess, err := c.sessionFor(ep, key)
+		cs, err := c.sessionFor(ep, key)
 		if err != nil {
 			return nil, nil, err
 		}
-		ct, err := sess.Wrap(raw)
+		ct, err := cs.sess.Wrap(raw)
 		if err == nil {
-			return ct, sess, nil
+			return ct, cs, nil
 		}
-		c.dropSession(ep, sess)
+		c.dropSession(ep, cs)
 		if attempt > 0 {
 			return nil, nil, err
 		}
@@ -442,7 +446,7 @@ func (c *Participant) wrapFor(ep string, key *rsa.PublicKey, raw []byte) ([]byte
 // and be rejected all over again. The fresh session is cached
 // (last-establisher-wins, same policy as sessionFor) so subsequent
 // sends ride it.
-func (c *Participant) rewrapFresh(ep string, key *rsa.PublicKey, raw []byte) ([]byte, *enclave.Session, error) {
+func (c *Participant) rewrapFresh(ep string, key *rsa.PublicKey, raw []byte) ([]byte, *clientSession, error) {
 	sess, err := enclave.NewSession(key)
 	if err != nil {
 		return nil, nil, err
@@ -451,10 +455,11 @@ func (c *Participant) rewrapFresh(ep string, key *rsa.PublicKey, raw []byte) ([]
 	if err != nil {
 		return nil, nil, err
 	}
+	cs := &clientSession{pub: key, sess: sess}
 	c.mu.Lock()
-	c.sessions[ep] = &clientSession{pub: key, sess: sess}
+	c.sessions[ep] = cs
 	c.mu.Unlock()
-	return ct, sess, nil
+	return ct, cs, nil
 }
 
 // Busy-tier backoff: when a whole failover walk comes back with every
@@ -593,7 +598,7 @@ func (c *Participant) sendWalk(ctx context.Context, raw []byte, clientID string)
 				continue
 			}
 		}
-		ct, sess, err := c.wrapFor(ep, key, raw)
+		ct, cs, err := c.wrapFor(ep, key, raw)
 		if err != nil {
 			return err
 		}
@@ -610,14 +615,25 @@ func (c *Participant) sendWalk(ctx context.Context, raw []byte, clientID string)
 			// never reject as unknown (see rewrapFresh), so one retry
 			// suffices. A rejection of the fresh establish itself falls
 			// through to the ordinary classification below.
-			c.dropSession(ep, sess)
-			if ct, sess, err = c.rewrapFresh(ep, key, raw); err != nil {
+			c.dropSession(ep, cs)
+			if ct, cs, err = c.rewrapFresh(ep, key, raw); err != nil {
 				return err
 			}
 			_, err = c.tr.SendUpdate(ctx, ep, transport.UpdateRequest{Body: ct, ClientID: clientID})
 		}
 		if err == nil {
+			if !cs.acked.Load() {
+				cs.acked.Store(true)
+			}
 			return nil
+		}
+		if !cs.acked.Load() {
+			// No frame of this session was ever acknowledged, so its
+			// establish may never have reached the enclave (a bounced
+			// ErrBusy provably did not). Drop it: the next walk must
+			// start with a fresh establish, not a data frame the
+			// enclave would answer with a 428.
+			c.dropSession(ep, cs)
 		}
 		if se := transport.AsStatus(err); se != nil {
 			switch se.Code {

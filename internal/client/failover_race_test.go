@@ -351,3 +351,61 @@ func TestSendUpdateBusyBackoffBounded(t *testing.T) {
 		t.Fatalf("client ran %d walks in 400ms: busy backoff is not backing off (hot spin)", walks)
 	}
 }
+
+// TestBouncedEstablishLeavesNoSession pins the establish-ack rule: a
+// session counts as established only once one of its frames is
+// acknowledged. The only proxy is wedged, so the send's first establish
+// frame bounces with ErrBusy (provably not ingested) and the SDK backs
+// off; the gate opens during that backoff. The retry walk must open a
+// FRESH establish — wrapping a data frame under the bounced session
+// draws a 428 from an enclave that never saw the session, and pays a
+// second RSA wrap on the re-establish.
+func TestBouncedEstablishLeavesNoSession(t *testing.T) {
+	lb := transport.NewLoopbackWith(transport.LoopbackOptions{QueueDepth: 1, Workers: 1})
+	defer lb.Close()
+	gate := &blockingIngress{entered: make(chan struct{}, 8), release: make(chan struct{})}
+	platform, encl, pxA, _ := twoProxyTier(t, lb, func(s transport.Server) transport.Server {
+		gate.Server = s
+		return gate
+	}, ident)
+
+	c, err := client.New(client.Config{
+		Proxies: []string{"loop://primary"}, Server: "loop://agg",
+		Transport: lb, Authority: platform.AttestationPublicKey(), Measurement: encl.Measurement(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// Attest before wedging: the worker about to park serves attestation.
+	if err := c.Attest(ctx, platform.AttestationPublicKey(), encl.Measurement()); err != nil {
+		t.Fatal(err)
+	}
+	wedged := wedgePrimary(lb, gate)
+	go func() { // open the gate once the send's first establish bounced
+		for {
+			for _, s := range lb.Stats() {
+				if s.Endpoint == "loop://primary" && s.Busy >= 1 {
+					close(gate.release)
+					return
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	if err := c.SendUpdate(ctx, testUpdate()); err != nil {
+		t.Fatalf("send must succeed once the wedge clears, got %v", err)
+	}
+	wedged.Wait()
+	st := pxA.Status()
+	if st.Received != 1 {
+		t.Fatalf("proxy ingested %d updates, want 1", st.Received)
+	}
+	if st.SessionMisses != 0 {
+		t.Fatalf("retry wrapped a data frame under the bounced session: %d session misses, want 0", st.SessionMisses)
+	}
+	if st.SessionsEstablished != 1 {
+		t.Fatalf("enclave established %d sessions, want 1", st.SessionsEstablished)
+	}
+}
