@@ -1,9 +1,10 @@
 // Package enclave is a behavioural simulation of the Intel SGX enclave
 // that hosts the MixNN proxy (paper §2.5, §4.3).
 //
-// What is real: all cryptography. Participants encrypt updates with the
-// enclave's RSA-2048 public key (OAEP key wrap around AES-256-GCM);
-// attestation reports bind a SHA-256 measurement of the enclave's code
+// What is real: all cryptography. Participants encrypt updates in
+// crypto sessions (session.go): a session's first frame wraps a fresh
+// AES-256-GCM key with the enclave's RSA-2048 public key (OAEP), and
+// every frame is sealed under that key; attestation reports bind a SHA-256 measurement of the enclave's code
 // identity and are signed by a (simulated) attestation authority with
 // ECDSA P-256; sealing uses AES-GCM under a key derived from a simulated
 // CPU fuse secret and the measurement, so blobs sealed by one enclave
@@ -23,7 +24,6 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -141,50 +141,15 @@ func (e *Enclave) Measurement() [32]byte { return e.measurement }
 // paper); participants encrypt their parameter updates with it.
 func (e *Enclave) PublicKey() *rsa.PublicKey { return &e.priv.PublicKey }
 
-// hybrid ciphertext layout:
-//
-//	u16 wrappedKeyLen | wrappedKey | 12-byte nonce | AES-256-GCM ciphertext
 const gcmNonceSize = 12
-
-// Encrypt encrypts plaintext for the enclave holding pub: a fresh AES-256
-// key wrapped with RSA-OAEP(SHA-256) followed by the GCM payload. This is
-// what participants (and tests) call client-side.
-func Encrypt(pub *rsa.PublicKey, plaintext []byte) ([]byte, error) {
-	key := make([]byte, 32)
-	if _, err := rand.Read(key); err != nil {
-		return nil, fmt.Errorf("enclave: draw session key: %w", err)
-	}
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pub, key, nil)
-	if err != nil {
-		return nil, fmt.Errorf("enclave: wrap session key: %w", err)
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("enclave: session cipher: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("enclave: gcm: %w", err)
-	}
-	nonce := make([]byte, gcmNonceSize)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("enclave: draw nonce: %w", err)
-	}
-	out := make([]byte, 2, 2+len(wrapped)+gcmNonceSize+len(plaintext)+gcm.Overhead())
-	binary.LittleEndian.PutUint16(out, uint16(len(wrapped)))
-	out = append(out, wrapped...)
-	out = append(out, nonce...)
-	out = gcm.Seal(out, nonce, plaintext, nil)
-	return out, nil
-}
 
 // ErrCiphertext is returned for malformed or tampered ciphertexts.
 var ErrCiphertext = errors.New("enclave: invalid ciphertext")
 
-// Decrypt opens a ciphertext inside the enclave: a session establish
-// or data message when the body carries the session magic (see
-// session.go), the legacy hybrid format otherwise. Legacy and session
-// traffic interleave freely on one enclave.
+// Decrypt opens a ciphertext inside the enclave. Session frames are the
+// only ingress format: an "MXSE" establish or an "MXSD" data frame (see
+// session.go). Any other body is rejected with ErrCiphertext before a
+// key is touched.
 func (e *Enclave) Decrypt(ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) >= 4 {
 		switch string(ciphertext[:4]) {
@@ -194,32 +159,7 @@ func (e *Enclave) Decrypt(ciphertext []byte) ([]byte, error) {
 			return e.decryptData(ciphertext)
 		}
 	}
-	if len(ciphertext) < 2 {
-		return nil, fmt.Errorf("%w: too short", ErrCiphertext)
-	}
-	wlen := int(binary.LittleEndian.Uint16(ciphertext))
-	rest := ciphertext[2:]
-	if len(rest) < wlen+gcmNonceSize {
-		return nil, fmt.Errorf("%w: truncated header", ErrCiphertext)
-	}
-	key, err := rsa.DecryptOAEP(sha256.New(), nil, e.priv, rest[:wlen], nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: key unwrap failed", ErrCiphertext)
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("%w: session cipher", ErrCiphertext)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("%w: gcm", ErrCiphertext)
-	}
-	nonce := rest[wlen : wlen+gcmNonceSize]
-	plain, err := gcm.Open(nil, nonce, rest[wlen+gcmNonceSize:], nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: authentication failed", ErrCiphertext)
-	}
-	return plain, nil
+	return nil, fmt.Errorf("%w: not a session frame", ErrCiphertext)
 }
 
 // sealKeyFor derives the sealing key for a purpose label. The empty

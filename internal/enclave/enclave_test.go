@@ -2,7 +2,12 @@ package enclave
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
+	"crypto/rsa"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -34,6 +39,17 @@ func fixtures(t *testing.T) (*Platform, *Enclave) {
 	return testPlatform, testEnclave
 }
 
+// establishFrame wraps msg as the first frame of a fresh session: the
+// self-contained establish a cold participant sends, one RSA wrap per
+// call.
+func establishFrame(pub *rsa.PublicKey, msg []byte) ([]byte, error) {
+	sess, err := NewSession(pub)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Wrap(msg)
+}
+
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	_, e := fixtures(t)
 	msgs := [][]byte{
@@ -42,9 +58,9 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 		bytes.Repeat([]byte{0xAB}, 10_000),
 	}
 	for _, msg := range msgs {
-		ct, err := Encrypt(e.PublicKey(), msg)
+		ct, err := establishFrame(e.PublicKey(), msg)
 		if err != nil {
-			t.Fatalf("Encrypt: %v", err)
+			t.Fatalf("establish: %v", err)
 		}
 		pt, err := e.Decrypt(ct)
 		if err != nil {
@@ -58,11 +74,11 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 
 func TestEncryptIsRandomised(t *testing.T) {
 	_, e := fixtures(t)
-	a, err := Encrypt(e.PublicKey(), []byte("same message"))
+	a, err := establishFrame(e.PublicKey(), []byte("same message"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encrypt(e.PublicKey(), []byte("same message"))
+	b, err := establishFrame(e.PublicKey(), []byte("same message"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +89,7 @@ func TestEncryptIsRandomised(t *testing.T) {
 
 func TestDecryptRejectsTampering(t *testing.T) {
 	_, e := fixtures(t)
-	ct, err := Encrypt(e.PublicKey(), []byte("sensitive model update"))
+	ct, err := establishFrame(e.PublicKey(), []byte("sensitive model update"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +103,7 @@ func TestDecryptRejectsTampering(t *testing.T) {
 			return b
 		}},
 		{"flip wrapped key byte", func(b []byte) []byte {
-			b[5] ^= 0x80
+			b[establishHeaderSize+5] ^= 0x80
 			return b
 		}},
 		{"truncate", func(b []byte) []byte { return b[:len(b)/2] }},
@@ -112,12 +128,52 @@ func TestDecryptRejectsForeignCiphertext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := Encrypt(other.PublicKey(), []byte("for the other enclave"))
+	ct, err := establishFrame(other.PublicKey(), []byte("for the other enclave"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Decrypt(ct); err == nil {
 		t.Fatal("decrypted a ciphertext addressed to another enclave")
+	}
+}
+
+// TestDecryptRejectsHybridBody pins the wire break: the per-update
+// hybrid layout (u16 wlen | RSA-OAEP(key) | nonce | AES-GCM) that the
+// enclave once opened is rejected as ErrCiphertext, even when it is
+// well-formed for this enclave's key, and touches no session state.
+func TestDecryptRejectsHybridBody(t *testing.T) {
+	_, e := fixtures(t)
+	key := make([]byte, 32)
+	nonce := make([]byte, gcmNonceSize)
+	if _, err := rand.Read(key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rand.Read(nonce); err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, e.PublicKey(), key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := binary.LittleEndian.AppendUint16(nil, uint16(len(wrapped)))
+	body = append(body, wrapped...)
+	body = append(body, nonce...)
+	body = gcm.Seal(body, nonce, []byte("hybrid model update"), nil)
+
+	before := e.Stats()
+	if _, err := e.Decrypt(body); !errors.Is(err, ErrCiphertext) {
+		t.Fatalf("hybrid body: got %v, want ErrCiphertext", err)
+	}
+	if after := e.Stats(); after != before {
+		t.Fatalf("hybrid body changed enclave state: %+v -> %+v", before, after)
 	}
 }
 
@@ -286,14 +342,14 @@ func TestConstantProcessingGate(t *testing.T) {
 	}
 }
 
-// Property: Encrypt/Decrypt round-trips arbitrary payloads.
+// Property: a session establish frame round-trips arbitrary payloads.
 func TestQuickEncryptRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RSA operations in -short mode")
 	}
 	_, e := fixtures(t)
 	f := func(msg []byte) bool {
-		ct, err := Encrypt(e.PublicKey(), msg)
+		ct, err := establishFrame(e.PublicKey(), msg)
 		if err != nil {
 			return false
 		}

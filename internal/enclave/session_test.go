@@ -30,7 +30,7 @@ func sessionFixture(t testing.TB) *Enclave {
 	return sessFixEncl
 }
 
-func TestSessionRoundTripAndLegacyInterleave(t *testing.T) {
+func TestSessionRoundTrip(t *testing.T) {
 	e := sessionFixture(t)
 	e.ResetSessions()
 	before := e.Stats() // lifetime counters persist across the shared fixture
@@ -44,19 +44,12 @@ func TestSessionRoundTripAndLegacyInterleave(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wrap %d: %v", i, err)
 		}
-		// Legacy traffic interleaves freely with session traffic.
-		legacy, err := Encrypt(e.PublicKey(), msg)
+		plain, err := e.Decrypt(ct)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("decrypt %d: %v", i, err)
 		}
-		for _, body := range [][]byte{ct, legacy} {
-			plain, err := e.Decrypt(body)
-			if err != nil {
-				t.Fatalf("decrypt %d: %v", i, err)
-			}
-			if !bytes.Equal(plain, msg) {
-				t.Fatalf("decrypt %d: plaintext mismatch", i)
-			}
+		if !bytes.Equal(plain, msg) {
+			t.Fatalf("decrypt %d: plaintext mismatch", i)
 		}
 	}
 	st := e.Stats()

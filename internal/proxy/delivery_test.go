@@ -374,10 +374,7 @@ func TestDeliveryBatchEndpointForgedHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := enclave.Encrypt(encl.PublicKey(), enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := establishFor(t, encl, enc)
 	post := func(auth, hop string) int {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, pxSrv.URL+"/v1/batch", bytes.NewReader(ct))
@@ -517,10 +514,7 @@ func TestDeliveryBatchRedeliveryDedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := enclave.Encrypt(encl.PublicKey(), enc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ct := establishFor(t, encl, enc)
 		post := func() int {
 			req, err := http.NewRequest(http.MethodPost, pxSrv.URL+"/v1/batch", bytes.NewReader(ct))
 			if err != nil {
@@ -920,10 +914,7 @@ func TestDeliveryBatchIncompatibleWithOpenRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := enclave.Encrypt(encl.PublicKey(), enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := establishFor(t, encl, enc)
 	req, err := http.NewRequest(http.MethodPost, pxSrv.URL+"/v1/batch", bytes.NewReader(ct))
 	if err != nil {
 		t.Fatal(err)
@@ -1099,9 +1090,8 @@ func TestAggServerBatchRejectsGarbage(t *testing.T) {
 }
 
 // FuzzDeliveryEquivalence fuzzes the delivery pipeline's core invariant
-// over epochs × shard count × round size × ingress format × transport:
-// every epoch's delivered round must average to exactly that epoch's
-// classic-FL mean.
+// over epochs × shard count × round size × transport: every epoch's
+// delivered round must average to exactly that epoch's classic-FL mean.
 func FuzzDeliveryEquivalence(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(3), false)
 	f.Add(uint8(2), uint8(2), uint8(4), false)
@@ -1138,30 +1128,19 @@ func FuzzDeliveryEquivalence(f *testing.F) {
 		defer px.Close()
 		pxEP := tn.serve("loop://front", px)
 
-		// Ingress-format dimension: when set, even-index clients speak the
-		// session-keyed ciphertext (one session per client, persisting
-		// across epochs) while odd clients stay on the legacy hybrid
-		// format — both interleaved must deliver identical aggregates.
-		sessionArm := c&2 == 2
+		// Every client holds one session across epochs: its first update
+		// is the establish frame, every later one a data frame.
 		sessions := make([]*enclave.Session, clients)
-		if sessionArm {
-			for i := 0; i < clients; i += 2 {
-				s, err := enclave.NewSession(encl.PublicKey())
-				if err != nil {
-					t.Fatal(err)
-				}
-				sessions[i] = s
+		for i := range sessions {
+			if sessions[i], err = enclave.NewSession(encl.PublicKey()); err != nil {
+				t.Fatal(err)
 			}
 		}
 		sent := make([][]nn.ParamSet, e)
 		for epoch := 0; epoch < e; epoch++ {
 			sent[epoch] = perturbed(initial, clients, float64(epoch*1000))
 			for i, u := range sent[epoch] {
-				if sessions[i] != nil {
-					sendSessionTyped(t, tn.tr(), sessions[i], pxEP, fmt.Sprintf("c%d", i), u)
-				} else {
-					sendTyped(t, tn.tr(), encl, pxEP, fmt.Sprintf("c%d", i), u)
-				}
+				sendSessionTyped(t, tn.tr(), sessions[i], pxEP, fmt.Sprintf("c%d", i), u)
 			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -436,10 +436,7 @@ func TestSingleProxyRejectsForgedHopHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := enclave.Encrypt(encl.PublicKey(), raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := establishFor(t, encl, raw)
 	req, err := http.NewRequest(http.MethodPost, proxyURL+"/v1/update", bytes.NewReader(ct))
 	if err != nil {
 		t.Fatal(err)

@@ -51,10 +51,7 @@ func sendRaw(t *testing.T, encl *enclave.Enclave, proxyURL, clientID string, ps 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := enclave.Encrypt(encl.PublicKey(), raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := establishFor(t, encl, raw)
 	req, err := http.NewRequest(http.MethodPost, proxyURL+"/v1/update", bytes.NewReader(ct))
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +172,7 @@ func TestShardedProxyHopLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := enclave.Encrypt(encl.PublicKey(), raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := establishFor(t, encl, raw)
 	for _, hop := range []string{"1", strconv.Itoa(DefaultMaxHops + 1)} {
 		req, err := http.NewRequest(http.MethodPost, proxyURL+"/v1/hop", bytes.NewReader(ct))
 		if err != nil {
@@ -321,10 +315,7 @@ func TestCascadeHopWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := enclave.Encrypt(encl.PublicKey(), enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := establishFor(t, encl, enc)
 	// Three participant updates (depth 0) and a one-update cascade batch
 	// at depth 2 close the round; the delivered batch must be stamped 3.
 	for i := 0; i < 3; i++ {

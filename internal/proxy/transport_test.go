@@ -68,19 +68,32 @@ func (tn *testNet) serve(name string, s transport.Server) string {
 	return srv.URL
 }
 
-// sendTyped encrypts one update for the enclave and sends it through
-// the given transport — the typed-counterpart of sendRaw, usable over
-// Loopback as well as HTTP.
+// establishFor wraps plain as the first frame of a fresh session for
+// encl: a self-contained establish, one RSA wrap per call, the frame a
+// participant's first update to a proxy travels in.
+func establishFor(t *testing.T, encl *enclave.Enclave, plain []byte) []byte {
+	t.Helper()
+	sess, err := enclave.NewSession(encl.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := sess.Wrap(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ct
+}
+
+// sendTyped encrypts one update for the enclave under a fresh session
+// and sends it through the given transport — the typed-counterpart of
+// sendRaw, usable over Loopback as well as HTTP.
 func sendTyped(t *testing.T, tr transport.Transport, encl *enclave.Enclave, ep, clientID string, ps nn.ParamSet) {
 	t.Helper()
 	raw, err := nn.EncodeParamSet(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := enclave.Encrypt(encl.PublicKey(), raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := establishFor(t, encl, raw)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := tr.SendUpdate(ctx, ep, transport.UpdateRequest{Body: ct, ClientID: clientID}); err != nil {

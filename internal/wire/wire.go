@@ -4,8 +4,8 @@
 //
 // Endpoints (all bodies are binary unless noted):
 //
-//	POST {proxy}/v1/update        encrypted participant update (enclave
-//	                              session or hybrid ciphertext)
+//	POST {proxy}/v1/update        encrypted participant update (an
+//	                              enclave session frame)
 //	POST {proxy}/v1/batch         a drained round (or one part of it) from
 //	                              an upstream proxy: a BatchEnvelope
 //	                              re-encrypted for this hop's enclave;
