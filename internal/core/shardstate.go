@@ -15,7 +15,8 @@ import (
 // restorable — including into a tier with a DIFFERENT shard count
 // (resharding on restore).
 //
-// Binary layout (little-endian), versioned so the format can evolve:
+// Binary layout (little-endian); the readers accept only the current
+// version:
 //
 //	magic    [4]byte "MXSH"
 //	version  uint32 (currently 4)
@@ -26,15 +27,15 @@ import (
 //	rounds   uint32 completed rounds (the tier's delivery epoch)
 //	hopMark  uint32 round hop-depth watermark
 //	received, hopReceived, forwarded uint64 (tier ledger)
-//	per shard: shardReceived uint64, shardEmitted uint64 (v2: shard ledger)
-//	per shard: shardLoad uint32 (v3: updates routed this round — the
+//	per shard: shardReceived uint64, shardEmitted uint64 (shard ledger)
+//	per shard: shardLoad uint32 (updates routed this round — the
 //	  quota-routing state of the open round)
-//	topoLen  uint32, topo bytes (v3: the routing-plane topology blob,
+//	topoLen  uint32, topo bytes (the routing-plane topology blob,
 //	  opaque here — internal/route marshals it; zero length = none)
-//	trustLen uint32, trust section (v4: the remote shards' attestation
+//	trustLen uint32, trust section (the remote shards' attestation
 //	  trust material, opaque here and sealed under TrustSection; zero
 //	  length = none)
-//	pendingLen uint32, pending section (v2: updates the mixers emitted
+//	pendingLen uint32, pending section (updates the mixers emitted
 //	  mid-round that have not yet been committed to the delivery outbox)
 //	per shard: sectionLen uint32, section bytes
 //
@@ -63,10 +64,8 @@ const (
 	// the exact topology (mode, weights, remote placement) it was sealed
 	// under; version 4 adds a remote-trust section (sealed like a shard
 	// section, under the TrustSection index) so a restarted tier can
-	// RE-ATTEST its remote shards from the blob alone.
-	// RestoreShardedState still reads versions 1 through 3 (missing
-	// fields restore empty), so an upgrade does not strand a sealed
-	// mid-round.
+	// RE-ATTEST its remote shards from the blob alone. The readers
+	// accept exactly this version.
 	ShardedStateVersion = 4
 
 	// maxSealedShards bounds the shard count a blob may claim (the blob
@@ -102,7 +101,7 @@ const (
 const PendingSection = -1
 
 // TrustSection is the shard index SealSectionFunc/OpenSectionFunc see
-// for the remote-trust section (v4): the attestation trust material of
+// for the remote-trust section: the attestation trust material of
 // the tier's remote shards, opaque to core (the proxy owns the
 // encoding). It carries inter-proxy secrets, so it is sealed like
 // buffered participant material.
@@ -150,15 +149,14 @@ type ShardedStateMeta struct {
 	// restore into the replacement tier's pending buffer, not its mixers.
 	Pending []nn.ParamSet
 	// ShardLoad is the open round's per-shard routed-update count (the
-	// quota-enforcement state), len P at seal time. v3 only.
+	// quota-enforcement state), len P at seal time.
 	ShardLoad []int
 	// Topo is the routing plane's marshalled topology, opaque to core
-	// (internal/route owns the encoding). v3 only; nil on older blobs.
+	// (internal/route owns the encoding); nil when the blob carries none.
 	Topo []byte
 	// RemoteTrust is the remote shards' attestation trust material,
 	// opaque to core (the proxy owns the encoding); it is sealed under
-	// the TrustSection index. v4 only; nil on older blobs or when the
-	// tier has no remote shards.
+	// the TrustSection index; nil when the tier has no remote shards.
 	RemoteTrust []byte
 }
 
@@ -330,7 +328,7 @@ func SealShardedState(shards []Shard, meta ShardedStateMeta, seal SealSectionFun
 			}
 		}
 	}
-	// v3: the open round's per-shard quota loads and the topology blob.
+	// The open round's per-shard quota loads and the topology blob.
 	for s := range shards {
 		load := 0
 		if meta.ShardLoad != nil {
@@ -347,7 +345,7 @@ func SealShardedState(shards []Shard, meta ShardedStateMeta, seal SealSectionFun
 		return nil, fmt.Errorf("core: marshal sharded state: %w", err)
 	}
 	buf.Write(meta.Topo)
-	// v4: the remote-trust section, sealed under the TrustSection index
+	// The remote-trust section, sealed under the TrustSection index
 	// (it carries inter-proxy secrets).
 	trustSec := meta.RemoteTrust
 	if len(trustSec) > 0 && seal != nil {
@@ -413,16 +411,15 @@ func ShardedStateRounds(blob []byte) (int, error) {
 	if len(blob) < roundsOff+4 || string(blob[:4]) != shardedStateMagic {
 		return 0, fmt.Errorf("core: not a sharded state blob")
 	}
-	// The header prefix is identical in every version so far.
-	if v := binary.LittleEndian.Uint32(blob[4:]); v < 1 || v > ShardedStateVersion {
-		return 0, fmt.Errorf("core: sharded state version %d, want <= %d", v, ShardedStateVersion)
+	if v := binary.LittleEndian.Uint32(blob[4:]); v != ShardedStateVersion {
+		return 0, fmt.Errorf("core: sharded state version %d, want %d", v, ShardedStateVersion)
 	}
 	return int(binary.LittleEndian.Uint32(blob[roundsOff:])), nil
 }
 
 // ShardedStateTopo peeks the routing-plane topology blob out of an
-// unsealed state blob without parsing the sections (nil for v1/v2 blobs,
-// which predate the routing plane). A restoring proxy needs it BEFORE
+// unsealed state blob without parsing the sections (nil when the blob
+// carries none). A restoring proxy needs it BEFORE
 // building the shard set it restores into: the topology dictates which
 // shards are mixers and which are relays.
 func ShardedStateTopo(blob []byte) ([]byte, error) {
@@ -432,18 +429,14 @@ func ShardedStateTopo(blob []byte) ([]byte, error) {
 	if len(blob) < headOff || string(blob[:4]) != shardedStateMagic {
 		return nil, fmt.Errorf("core: not a sharded state blob")
 	}
-	v := binary.LittleEndian.Uint32(blob[4:])
-	if v < 1 || v > ShardedStateVersion {
-		return nil, fmt.Errorf("core: sharded state version %d, want <= %d", v, ShardedStateVersion)
-	}
-	if v < 3 {
-		return nil, nil
+	if v := binary.LittleEndian.Uint32(blob[4:]); v != ShardedStateVersion {
+		return nil, fmt.Errorf("core: sharded state version %d, want %d", v, ShardedStateVersion)
 	}
 	p := binary.LittleEndian.Uint32(blob[8:])
 	if p == 0 || p > maxSealedShards {
 		return nil, fmt.Errorf("core: sealed shard count %d out of range", p)
 	}
-	// v2 per-shard ledgers (16 bytes each) + v3 per-shard loads (4 each).
+	// Per-shard ledgers (16 bytes each) + per-shard loads (4 each).
 	off := uint64(headOff) + uint64(p)*20
 	if uint64(len(blob)) < off+4 {
 		return nil, fmt.Errorf("core: sharded state truncated before topology")
@@ -489,8 +482,8 @@ func RestoreShardedState(blob []byte, shards []Shard, open OpenSectionFunc) (Sha
 	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
 		return meta, fmt.Errorf("core: read version: %w", err)
 	}
-	if version < 1 || version > ShardedStateVersion {
-		return meta, fmt.Errorf("core: sharded state version %d, want <= %d", version, ShardedStateVersion)
+	if version != ShardedStateVersion {
+		return meta, fmt.Errorf("core: sharded state version %d, want %d", version, ShardedStateVersion)
 	}
 	if err := binary.Read(r, binary.LittleEndian, &sealedShards); err != nil {
 		return meta, fmt.Errorf("core: read shard count: %w", err)
@@ -518,43 +511,38 @@ func RestoreShardedState(blob []byte, shards []Shard, open OpenSectionFunc) (Sha
 		}
 		*dst = int(v)
 	}
-	// Per-shard mixer ledgers: v2 only (a v1 blob restores them empty —
-	// the counters reset, which is exactly the pre-v2 behaviour).
-	if version >= 2 {
-		meta.ShardReceived = make([]int, meta.SealedShards)
-		meta.ShardEmitted = make([]int, meta.SealedShards)
-		for s := 0; s < meta.SealedShards; s++ {
-			for _, dst := range []*int{&meta.ShardReceived[s], &meta.ShardEmitted[s]} {
-				var v uint64
-				if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-					return meta, fmt.Errorf("core: read shard %d ledger: %w", s, err)
-				}
-				*dst = int(v)
+	// Per-shard mixer ledgers.
+	meta.ShardReceived = make([]int, meta.SealedShards)
+	meta.ShardEmitted = make([]int, meta.SealedShards)
+	for s := 0; s < meta.SealedShards; s++ {
+		for _, dst := range []*int{&meta.ShardReceived[s], &meta.ShardEmitted[s]} {
+			var v uint64
+			if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
+				return meta, fmt.Errorf("core: read shard %d ledger: %w", s, err)
 			}
+			*dst = int(v)
 		}
 	}
-	// v3: per-shard quota loads of the open round + the topology blob.
-	if version >= 3 {
-		meta.ShardLoad = make([]int, meta.SealedShards)
-		for s := 0; s < meta.SealedShards; s++ {
-			var v uint32
-			if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-				return meta, fmt.Errorf("core: read shard %d load: %w", s, err)
-			}
-			meta.ShardLoad[s] = int(v)
+	// Per-shard quota loads of the open round + the topology blob.
+	meta.ShardLoad = make([]int, meta.SealedShards)
+	for s := 0; s < meta.SealedShards; s++ {
+		var v uint32
+		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
+			return meta, fmt.Errorf("core: read shard %d load: %w", s, err)
 		}
-		var topoLen uint32
-		if err := binary.Read(r, binary.LittleEndian, &topoLen); err != nil {
-			return meta, fmt.Errorf("core: read topology length: %w", err)
-		}
-		if topoLen > maxSectionBytes || int(topoLen) > r.Len() {
-			return meta, fmt.Errorf("core: topology length %d out of range", topoLen)
-		}
-		if topoLen > 0 {
-			meta.Topo = make([]byte, topoLen)
-			if _, err := io.ReadFull(r, meta.Topo); err != nil {
-				return meta, fmt.Errorf("core: read topology: %w", err)
-			}
+		meta.ShardLoad[s] = int(v)
+	}
+	var topoLen uint32
+	if err := binary.Read(r, binary.LittleEndian, &topoLen); err != nil {
+		return meta, fmt.Errorf("core: read topology length: %w", err)
+	}
+	if topoLen > maxSectionBytes || int(topoLen) > r.Len() {
+		return meta, fmt.Errorf("core: topology length %d out of range", topoLen)
+	}
+	if topoLen > 0 {
+		meta.Topo = make([]byte, topoLen)
+		if _, err := io.ReadFull(r, meta.Topo); err != nil {
+			return meta, fmt.Errorf("core: read topology: %w", err)
 		}
 	}
 	// readRaw pulls one length-prefixed section, bounding by the bytes
@@ -590,21 +578,15 @@ func RestoreShardedState(blob []byte, shards []Shard, open OpenSectionFunc) (Sha
 		}
 		return unmarshalSection(section)
 	}
-	// v4: the remote-trust section.
-	if version >= 4 {
-		if meta.RemoteTrust, err = readRaw(TrustSection); err != nil {
-			return meta, fmt.Errorf("core: trust section: %w", err)
-		}
-		if len(meta.RemoteTrust) == 0 {
-			meta.RemoteTrust = nil
-		}
+	// The remote-trust section, then the pending-emission section.
+	if meta.RemoteTrust, err = readRaw(TrustSection); err != nil {
+		return meta, fmt.Errorf("core: trust section: %w", err)
 	}
-	// Pending-emission section: v2 only (v1 had no delivery pipeline, so
-	// nothing could be pending).
-	if version >= 2 {
-		if meta.Pending, err = readSection(PendingSection); err != nil {
-			return meta, fmt.Errorf("core: pending section: %w", err)
-		}
+	if len(meta.RemoteTrust) == 0 {
+		meta.RemoteTrust = nil
+	}
+	if meta.Pending, err = readSection(PendingSection); err != nil {
+		return meta, fmt.Errorf("core: pending section: %w", err)
 	}
 	// Collect every sealed shard's pseudo-updates. With an unchanged
 	// shard count each section restores into its own mixer (exact

@@ -236,59 +236,6 @@ func TestShardedStateLedgersAndPendingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreShardedStateReadsV1 pins upgrade compatibility: a blob in
-// the PR 2 (version 1) layout — no per-shard ledgers, no pending
-// section — still restores, so upgrading the binary does not strand a
-// sealed mid-round.
-func TestRestoreShardedStateReadsV1(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	tier := newTier(t, 2, 2)
-	feedTier(t, tier, makeUpdates(3, 2, rng))
-
-	var v1 bytes.Buffer
-	v1.WriteString("MXSH")
-	for _, v := range []uint32{1, 2} { // version 1, 2 shards
-		binary.Write(&v1, binary.LittleEndian, v)
-	}
-	v1.WriteByte(byte(RoutingHashRR))
-	for _, v := range []uint32{3, 3, 5, 0} { // rr, inRound, rounds, hopMark
-		binary.Write(&v1, binary.LittleEndian, v)
-	}
-	for _, v := range []uint64{3, 0, 0} { // received, hopReceived, forwarded
-		binary.Write(&v1, binary.LittleEndian, v)
-	}
-	for _, m := range tier {
-		section, err := marshalSection(m.SnapshotEntries())
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.Write(&v1, binary.LittleEndian, uint32(len(section)))
-		v1.Write(section)
-	}
-
-	if rounds, err := ShardedStateRounds(v1.Bytes()); err != nil || rounds != 5 {
-		t.Fatalf("ShardedStateRounds on v1 = %d, %v; want 5, nil", rounds, err)
-	}
-	fresh := newTier(t, 2, 2)
-	meta, err := RestoreShardedState(v1.Bytes(), fresh, nil)
-	if err != nil {
-		t.Fatalf("v1 blob no longer restores: %v", err)
-	}
-	if meta.Rounds != 5 || meta.InRound != 3 || meta.Received != 3 {
-		t.Fatalf("v1 ledger = %+v", meta)
-	}
-	if meta.ShardReceived != nil || meta.Pending != nil {
-		t.Fatalf("v1 blob restored phantom v2 fields: %+v", meta)
-	}
-	buffered := 0
-	for _, m := range fresh {
-		buffered += m.Buffered()
-	}
-	if buffered != 3 {
-		t.Fatalf("v1 restore buffered %d, want 3", buffered)
-	}
-}
-
 func TestRestoreShardedStateRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tier := newTier(t, 2, 2)
@@ -312,10 +259,20 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		}
 	})
 	t.Run("wrong version", func(t *testing.T) {
-		bad := append([]byte(nil), blob...)
-		bad[4] = 0xFE
-		if _, err := RestoreShardedState(bad, fresh(), nil); err == nil {
-			t.Fatal("future version accepted")
+		// Every reader accepts exactly ShardedStateVersion: older blobs
+		// (1–3) are no longer read, newer ones are not yet understood.
+		for _, v := range []uint32{1, 2, 3, ShardedStateVersion + 1, 0xFE} {
+			bad := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint32(bad[4:], v)
+			if _, err := RestoreShardedState(bad, fresh(), nil); err == nil {
+				t.Errorf("RestoreShardedState accepted version %d", v)
+			}
+			if _, err := ShardedStateTopo(bad); err == nil {
+				t.Errorf("ShardedStateTopo accepted version %d", v)
+			}
+			if _, err := ShardedStateRounds(bad); err == nil {
+				t.Errorf("ShardedStateRounds accepted version %d", v)
+			}
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
@@ -358,8 +315,11 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		for i := 0; i < 2; i++ { // shard 0 ledger
 			binary.Write(&forged, binary.LittleEndian, uint64(0))
 		}
-		// Forge the pending-section length (the first length-prefixed
-		// section of a v2 blob).
+		for i := 0; i < 2; i++ { // shard 0 load, empty topology
+			binary.Write(&forged, binary.LittleEndian, uint32(0))
+		}
+		// Forge the trust-section length (the first length-prefixed
+		// section).
 		binary.Write(&forged, binary.LittleEndian, uint32(maxSectionBytes-1))
 		if _, err := RestoreShardedState(forged.Bytes(), fresh(), nil); err == nil {
 			t.Fatal("forged oversized section length accepted")

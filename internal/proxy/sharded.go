@@ -1532,11 +1532,11 @@ func (p *ShardedProxy) SealState() ([]byte, error) {
 // RestoreState loads a SealState blob into a freshly-constructed tier
 // (same enclave identity and platform).
 //
-// With AdoptSealedTopology set and a v3 blob, the tier comes back under
-// EXACTLY the topology it was sealed under — routing mode, shard
-// weights, remote placement, quota loads and topology version — so a
-// crash-restart lands mid-round with the routing plane intact, whatever
-// the replacement's static flags said.
+// With AdoptSealedTopology set and a blob that carries a topology, the
+// tier comes back under EXACTLY the topology it was sealed under —
+// routing mode, shard weights, remote placement, quota loads and
+// topology version — so a crash-restart lands mid-round with the
+// routing plane intact, whatever the replacement's static flags said.
 //
 // Otherwise the blob's material is resharded into THIS tier's configured
 // topology: buffered material is redistributed across the new shards
@@ -1589,7 +1589,7 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 	}
 	// Every remote shard of the adopted topology needs either an
 	// already-registered key or sealed trust material to re-attest from
-	// (v4 blobs carry it); with neither the relay leg could never
+	// (the blob carries it); with neither the relay leg could never
 	// deliver, so refuse the restore up front.
 	sealedTrust := make(map[string]RemoteTrust)
 	if meta.RemoteTrust != nil {
@@ -1618,7 +1618,7 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 	p.planner.Reset(topo)
 	p.rst = topo.NewState()
 	p.rst.RR = meta.RRCursor % topo.P()
-	if adopted && meta.ShardLoad != nil && len(meta.ShardLoad) == topo.P() {
+	if adopted && len(meta.ShardLoad) == topo.P() {
 		copy(p.rst.Load, meta.ShardLoad)
 	} else {
 		// Resharded restore: the sealed per-shard loads describe shards
@@ -1707,10 +1707,6 @@ func restoredLedgers(meta core.ShardedStateMeta, mixers []core.Shard) (recv, emi
 	pPrime := len(mixers)
 	recv = make([]int, pPrime)
 	emit = make([]int, pPrime)
-	if meta.ShardReceived == nil {
-		// A v1 blob carries no per-shard ledgers; they start over.
-		return recv, emit
-	}
 	if pPrime == meta.SealedShards {
 		for s := range mixers {
 			if recv[s] = meta.ShardReceived[s] - mixers[s].Received(); recv[s] < 0 {
