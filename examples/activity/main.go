@@ -63,7 +63,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	px, err := proxy.New(proxy.Config{
+	px, err := proxy.NewSharded(proxy.ShardedConfig{
 		Upstream:  serverURL,
 		K:         len(parts) / 2,
 		RoundSize: len(parts),

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mixnn/internal/client"
 	"mixnn/internal/enclave"
 	"mixnn/internal/fl"
 	"mixnn/internal/nn"
@@ -58,9 +59,19 @@ func flushTier(t *testing.T, proxies ...interface {
 	}
 }
 
-// testDeployment stands up an aggregation server and a MixNN proxy over
-// httptest and returns their URLs plus the AggServer for inspection.
-func testDeployment(t *testing.T, expect, k int) (*AggServer, *Proxy, string, string) {
+// newParticipant builds an SDK participant over HTTP for one proxy.
+func newParticipant(proxyURL, serverURL string) *client.Participant {
+	p, err := client.New(client.Config{Proxies: []string{proxyURL}, Server: serverURL})
+	if err != nil {
+		panic(err) // unreachable: the config names one proxy
+	}
+	return p
+}
+
+// testDeployment stands up an aggregation server and a single-shard
+// MixNN proxy over httptest and returns their URLs plus the AggServer
+// for inspection.
+func testDeployment(t *testing.T, expect, k int) (*AggServer, *ShardedProxy, string, string) {
 	t.Helper()
 	platform, encl := fixtures(t)
 
@@ -71,7 +82,7 @@ func testDeployment(t *testing.T, expect, k int) (*AggServer, *Proxy, string, st
 	aggSrv := httptest.NewServer(agg.Handler())
 	t.Cleanup(aggSrv.Close)
 
-	px, err := New(Config{Upstream: aggSrv.URL, K: k, RoundSize: expect, Seed: 42}, encl, platform)
+	px, err := NewSharded(ShardedConfig{Upstream: aggSrv.URL, K: k, RoundSize: expect, Seed: 42}, encl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +105,7 @@ func TestEndToEndNetworkedRound(t *testing.T) {
 	// (standing in for local training) and sends it encrypted.
 	updates := make([]nn.ParamSet, clients)
 	for i := 0; i < clients; i++ {
-		p := NewParticipant(proxyURL, serverURL, nil)
+		p := newParticipant(proxyURL, serverURL)
 		if err := p.Attest(ctx, platform.AttestationPublicKey(), encl.Measurement()); err != nil {
 			t.Fatalf("participant %d attest: %v", i, err)
 		}
@@ -128,7 +139,7 @@ func TestEndToEndNetworkedRound(t *testing.T) {
 	}
 
 	// A participant can observe the new round.
-	p := NewParticipant(proxyURL, serverURL, nil)
+	p := newParticipant(proxyURL, serverURL)
 	round, _, err := p.WaitForRound(ctx, 1, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +155,7 @@ func TestProxyStatusCounters(t *testing.T) {
 
 	arch := testArch()
 	ctx := context.Background()
-	p := NewParticipant(proxyURL, serverURL, nil)
+	p := newParticipant(proxyURL, serverURL)
 	if err := p.Attest(ctx, platform.AttestationPublicKey(), encl.Measurement()); err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +169,17 @@ func TestProxyStatusCounters(t *testing.T) {
 	if st.Received != 3 || st.Forwarded != 3 {
 		t.Fatalf("received/forwarded = %d/%d, want 3/3", st.Received, st.Forwarded)
 	}
-	if st.Buffered != 0 {
-		t.Fatalf("buffered after round close = %d, want 0", st.Buffered)
+	if len(st.Shards) != 1 {
+		t.Fatalf("shards = %d, want 1", len(st.Shards))
+	}
+	if st.Shards[0].Buffered != 0 {
+		t.Fatalf("buffered after round close = %d, want 0", st.Shards[0].Buffered)
 	}
 	if st.UpdateBytes <= 0 {
 		t.Fatal("update size not recorded")
 	}
-	if st.K != 2 || st.RoundSize != 3 {
-		t.Fatalf("k/roundSize = %d/%d, want 2/3", st.K, st.RoundSize)
+	if st.Shards[0].K != 2 || st.RoundSize != 3 {
+		t.Fatalf("k/roundSize = %d/%d, want 2/3", st.Shards[0].K, st.RoundSize)
 	}
 }
 
@@ -185,7 +199,7 @@ func TestProxyRejectsStructureChange(t *testing.T) {
 	platform, encl := fixtures(t)
 	_, _, proxyURL, serverURL := testDeployment(t, 4, 2)
 	ctx := context.Background()
-	p := NewParticipant(proxyURL, serverURL, nil)
+	p := newParticipant(proxyURL, serverURL)
 	if err := p.Attest(ctx, platform.AttestationPublicKey(), encl.Measurement()); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +225,7 @@ func TestProxyUpstreamFailure(t *testing.T) {
 	}))
 	t.Cleanup(bad.Close)
 
-	px, err := New(Config{Upstream: bad.URL, K: 1, RoundSize: 1, Seed: 1}, encl, platform)
+	px, err := NewSharded(ShardedConfig{Upstream: bad.URL, K: 1, RoundSize: 1, Seed: 1}, encl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +233,14 @@ func TestProxyUpstreamFailure(t *testing.T) {
 	pxSrv := httptest.NewServer(px.Handler())
 	t.Cleanup(pxSrv.Close)
 
-	p := NewParticipant(pxSrv.URL, bad.URL, nil)
+	p := newParticipant(pxSrv.URL, bad.URL)
 	if err := p.Attest(context.Background(), platform.AttestationPublicKey(), encl.Measurement()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SendUpdate(context.Background(), testArch().New(1).SnapshotParams()); err != nil {
 		t.Fatalf("send with dead upstream must be accepted (delivery is async): %v", err)
 	}
-	st := px.ShardedProxy.Status()
+	st := px.Status()
 	if st.OutboxPending != 1 || st.Forwarded != 0 {
 		t.Fatalf("outbox_pending/forwarded = %d/%d, want 1/0 (round retained for retry)", st.OutboxPending, st.Forwarded)
 	}
@@ -247,7 +261,7 @@ func TestAttestationEndpointRequiresNonce(t *testing.T) {
 func TestParticipantAttestRejectsWrongMeasurement(t *testing.T) {
 	platform, _ := fixtures(t)
 	_, _, proxyURL, serverURL := testDeployment(t, 2, 2)
-	p := NewParticipant(proxyURL, serverURL, nil)
+	p := newParticipant(proxyURL, serverURL)
 	var wrong [32]byte
 	wrong[0] = 0xFF
 	if err := p.Attest(context.Background(), platform.AttestationPublicKey(), wrong); err == nil {
@@ -256,7 +270,7 @@ func TestParticipantAttestRejectsWrongMeasurement(t *testing.T) {
 }
 
 func TestParticipantSendWithoutKey(t *testing.T) {
-	p := NewParticipant("http://unused", "http://unused", nil)
+	p := newParticipant("http://unused", "http://unused")
 	if err := p.SendUpdate(context.Background(), testArch().New(1).SnapshotParams()); err == nil {
 		t.Fatal("send without pinned key succeeded")
 	}
@@ -354,7 +368,7 @@ func TestAggServerObserverSeesMixedUpdates(t *testing.T) {
 	agg.SetObserver(obs)
 
 	ctx := context.Background()
-	p := NewParticipant(proxyURL, serverURL, nil)
+	p := newParticipant(proxyURL, serverURL)
 	if err := p.Attest(ctx, platform.AttestationPublicKey(), encl.Measurement()); err != nil {
 		t.Fatal(err)
 	}
@@ -379,19 +393,19 @@ func TestNewProxyValidation(t *testing.T) {
 	platform, encl := fixtures(t)
 	tests := []struct {
 		name string
-		cfg  Config
+		cfg  ShardedConfig
 	}{
-		{"no upstream", Config{RoundSize: 2}},
-		{"bad round size", Config{Upstream: "http://x", RoundSize: 0}},
+		{"no upstream", ShardedConfig{RoundSize: 2}},
+		{"bad round size", ShardedConfig{Upstream: "http://x", RoundSize: 0}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := New(tt.cfg, encl, platform); err == nil {
+			if _, err := NewSharded(tt.cfg, encl, platform); err == nil {
 				t.Fatal("no error")
 			}
 		})
 	}
-	if _, err := New(Config{Upstream: "http://x", RoundSize: 2}, nil, nil); err == nil {
+	if _, err := NewSharded(ShardedConfig{Upstream: "http://x", RoundSize: 2}, nil, nil); err == nil {
 		t.Fatal("nil enclave accepted")
 	}
 }

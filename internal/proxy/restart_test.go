@@ -32,8 +32,8 @@ func TestProxyRestartMidRound(t *testing.T) {
 	aggSrv := httptest.NewServer(agg.Handler())
 	t.Cleanup(aggSrv.Close)
 
-	cfg := Config{Upstream: aggSrv.URL, K: 3, RoundSize: clients, Seed: 9}
-	px1, err := New(cfg, encl, platform)
+	cfg := ShardedConfig{Upstream: aggSrv.URL, K: 3, RoundSize: clients, Seed: 9}
+	px1, err := NewSharded(cfg, encl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestProxyRestartMidRound(t *testing.T) {
 	}
 
 	send := func(url string, u nn.ParamSet) error {
-		p := NewParticipant(url, aggSrv.URL, nil)
+		p := newParticipant(url, aggSrv.URL)
 		if err := p.Attest(ctx, platform.AttestationPublicKey(), encl.Measurement()); err != nil {
 			return err
 		}
@@ -70,7 +70,7 @@ func TestProxyRestartMidRound(t *testing.T) {
 	px1Srv.Close()
 
 	// Replacement proxy restores the sealed buffer.
-	px2, err := New(cfg, encl, platform)
+	px2, err := NewSharded(cfg, encl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestProxyRestartMidRound(t *testing.T) {
 	if err := px2.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if px2.Status().Buffered != 3 {
-		t.Fatalf("restored buffer = %d, want 3", px2.Status().Buffered)
+	if got := px2.Status().Shards[0].Buffered; got != 3 {
+		t.Fatalf("restored buffer = %d, want 3", got)
 	}
 	px2Srv := httptest.NewServer(px2.Handler())
 	t.Cleanup(px2Srv.Close)
@@ -108,7 +108,7 @@ func TestRestoreStateRejectsForeignBlob(t *testing.T) {
 	platform, encl := fixtures(t)
 	srv := httptest.NewServer(nil)
 	t.Cleanup(srv.Close)
-	px, err := New(Config{Upstream: srv.URL, K: 2, RoundSize: 4, Seed: 1}, encl, platform)
+	px, err := NewSharded(ShardedConfig{Upstream: srv.URL, K: 2, RoundSize: 4, Seed: 1}, encl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestShardedCrashRestartReshardE2E(t *testing.T) {
 		updates[i] = u
 	}
 	send := func(url string, u nn.ParamSet) error {
-		p := NewParticipant(url, aggSrv.URL, nil)
+		p := newParticipant(url, aggSrv.URL)
 		if err := p.Attest(ctx, platform.AttestationPublicKey(), frontEncl.Measurement()); err != nil {
 			return err
 		}
@@ -427,7 +427,8 @@ func TestSealedMidTrafficBlobRestores(t *testing.T) {
 // TestSingleProxyRejectsForgedHopHeader is the regression test for the
 // pre-consolidation drift: the single proxy used to accept forged
 // X-Mixnn-Hop headers on /v1/update because the check lived only on the
-// sharded path. As a Shards=1 wrapper it now shares the sharded ingress.
+// sharded path. A single proxy is now a Shards=1 ShardedProxy, so it
+// shares the sharded ingress.
 func TestSingleProxyRejectsForgedHopHeader(t *testing.T) {
 	_, encl := fixtures(t)
 	_, _, proxyURL, _ := testDeployment(t, 4, 2)

@@ -276,6 +276,22 @@ type ShardedProxy struct {
 	sig         health.Signals
 }
 
+// timing accumulates a mean over observations.
+type timing struct {
+	total time.Duration
+	n     int
+}
+
+func (t *timing) add(d time.Duration) { t.total += d; t.n++ }
+
+// meanMillisExact returns the mean in milliseconds with sub-ms resolution.
+func (t *timing) meanMillisExact() float64 {
+	if t.n == 0 {
+		return 0
+	}
+	return t.total.Seconds() * 1000 / float64(t.n)
+}
+
 // outboxLabel domain-separates outbox entries from other sealed material.
 const outboxLabel = "mixnn/outbox/v1"
 

@@ -259,25 +259,6 @@ type ServerStatus struct {
 	ExpectPerRound int `json:"expect_per_round"`
 }
 
-// ProxyStatus is the single-proxy (§6.5) view of a tier's status, kept
-// for the paper-shaped `proxy.Proxy` API; over HTTP every proxy now
-// reports ShardedProxyStatus.
-type ProxyStatus struct {
-	Buffered      int     `json:"buffered"`
-	Received      int     `json:"received"`
-	Forwarded     int     `json:"forwarded"`
-	RoundSize     int     `json:"round_size"`
-	K             int     `json:"k"`
-	UpdateBytes   int     `json:"update_bytes"`
-	EnclaveUsed   int     `json:"enclave_used_bytes"`
-	EnclavePeak   int     `json:"enclave_peak_bytes"`
-	EnclavePaging int     `json:"enclave_page_events"`
-	DecryptMillis float64 `json:"decrypt_ms_mean"`
-	StoreMillis   float64 `json:"store_ms_mean"`
-	MixMillis     float64 `json:"mix_ms_mean"`
-	ProcessMillis float64 `json:"process_ms_mean"`
-}
-
 // ShardStatus reports one mixing shard inside a sharded proxy.
 type ShardStatus struct {
 	Shard    int `json:"shard"`
