@@ -383,15 +383,24 @@ func TestBouncedEstablishLeavesNoSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	wedged := wedgePrimary(lb, gate)
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate.release) }) }
+	defer release()
+	stop := make(chan struct{})
+	defer close(stop)
 	go func() { // open the gate once the send's first establish bounced
 		for {
 			for _, s := range lb.Stats() {
 				if s.Endpoint == "loop://primary" && s.Busy >= 1 {
-					close(gate.release)
+					release()
 					return
 				}
 			}
-			time.Sleep(time.Millisecond)
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
 		}
 	}()
 	if err := c.SendUpdate(ctx, testUpdate()); err != nil {
