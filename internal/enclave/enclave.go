@@ -4,11 +4,12 @@
 // What is real: all cryptography. Participants encrypt updates in
 // crypto sessions (session.go): a session's first frame wraps a fresh
 // AES-256-GCM key with the enclave's RSA-2048 public key (OAEP), and
-// every frame is sealed under that key; attestation reports bind a SHA-256 measurement of the enclave's code
-// identity and are signed by a (simulated) attestation authority with
-// ECDSA P-256; sealing uses AES-GCM under a key derived from a simulated
-// CPU fuse secret and the measurement, so blobs sealed by one enclave
-// identity cannot be unsealed by another.
+// every frame is sealed under that key; attestation reports bind a
+// SHA-256 measurement of the enclave's code identity and are signed by
+// a (simulated) attestation authority with ECDSA P-256; sealing uses
+// AES-GCM under a key derived from a simulated CPU fuse secret and the
+// measurement, so blobs sealed by one enclave identity cannot be
+// unsealed by another.
 //
 // What is simulated: the hardware resource envelope. The enclave tracks
 // EPC usage against the 96 MiB usable limit the paper cites and counts
@@ -138,7 +139,7 @@ func New(cfg Config, platform *Platform) (*Enclave, error) {
 func (e *Enclave) Measurement() [32]byte { return e.measurement }
 
 // PublicKey returns the enclave's encryption public key (k_pub in the
-// paper); participants encrypt their parameter updates with it.
+// paper); participants wrap their session keys with it.
 func (e *Enclave) PublicKey() *rsa.PublicKey { return &e.priv.PublicKey }
 
 const gcmNonceSize = 12
